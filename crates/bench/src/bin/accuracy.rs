@@ -25,15 +25,7 @@ fn main() {
     }
     for alg in &algos {
         for steps in 1..=3usize {
-            let e = forward_error(
-                &alg.dec,
-                Options {
-                    steps,
-                    ..Default::default()
-                },
-                n,
-                7,
-            );
+            let e = forward_error(&alg.dec, steps, Options::default(), n, 7);
             println!("{},{steps},{e:.3e}", alg.name);
         }
     }

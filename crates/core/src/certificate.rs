@@ -13,8 +13,8 @@
 //! multiply.
 
 use crate::executor::{BorderHandling, LevelPlan, Options, Scheme};
+use fmm_gemm::GemmScalar;
 use fmm_matrix::partition::PeelSplit;
-use fmm_matrix::Scalar;
 
 /// Statically derived facts about a [`crate::Plan`].
 ///
@@ -75,7 +75,7 @@ impl Counts {
 }
 
 /// Walk the subtree rooted at `depth` for a `p × q × r` problem.
-fn walk<T: Scalar>(
+fn walk<T: GemmScalar>(
     levels: &[LevelPlan<T>],
     scheme: Scheme,
     depth: usize,
@@ -131,7 +131,7 @@ fn walk<T: Scalar>(
     // CSE temporaries, per-multiplication S/T operands (skipping
     // passthroughs), the rank M_r products, and the child region —
     // replicated per child when children run concurrently.
-    let (s_size, t_size, m_size) = (cp * cq, cq * cr, cp * cr);
+    let (s_size, t_size, m_size) = (cp * cq, cq * T::K_PACK * cr, cp * cr);
     let ut_len = lp.u_temp_count() * s_size;
     let vt_len = lp.v_temp_count() * t_size;
     let st_len: usize = (0..lp.rank)
@@ -165,7 +165,7 @@ fn padded_dims<T>(levels: &[LevelPlan<T>], p: usize, q: usize, r: usize) -> (usi
 /// Compute the certificate for a level schedule on `shape` under
 /// `opts`. This is the backing implementation of
 /// [`crate::Plan::certificate`].
-pub(crate) fn derive_certificate<T: Scalar>(
+pub(crate) fn derive_certificate<T: GemmScalar>(
     levels: &[LevelPlan<T>],
     opts: &Options,
     shape: (usize, usize, usize),
@@ -176,8 +176,8 @@ pub(crate) fn derive_certificate<T: Scalar>(
     let (ep, eq, er) = if opts.border == BorderHandling::Padding && !levels.is_empty() {
         let (pp, qq, rr) = padded_dims(levels, p, q, r);
         if (pp, qq, rr) != (p, q, r) {
-            pad_temps = (pp * qq + qq * rr + pp * rr) as u64;
-            pad_ws = pp * qq + qq * rr + pp * rr;
+            pad_ws = pp * qq + qq * T::K_PACK * rr + pp * rr;
+            pad_temps = pad_ws as u64;
             (pp, qq, rr)
         } else {
             (p, q, r)

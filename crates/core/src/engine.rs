@@ -186,10 +186,10 @@ impl<T: GemmScalar> EngineBuilder<T> {
         self
     }
 
-    /// Executor strategy (additions, CSE, scheme, border). `steps` in
-    /// the value is ignored — set depth via [`EngineBuilder::steps`] or
-    /// let the profile decide. Default: write-once additions, dynamic
-    /// peeling, Sequential scheme at width 1 and HYBRID otherwise.
+    /// Executor strategy (additions, CSE, scheme, border). Set depth
+    /// via [`EngineBuilder::steps`] or let the profile decide. Default:
+    /// write-once additions, dynamic peeling, Sequential scheme at
+    /// width 1 and HYBRID otherwise.
     #[must_use]
     pub fn options(mut self, options: Options) -> Self {
         self.options = Some(options);
@@ -274,9 +274,9 @@ impl<T: GemmScalar> EngineBuilder<T> {
 }
 
 /// Key of one cached plan: the problem shape plus everything else that
-/// determines the compiled plan (strategy options with the *requested*
-/// depth — 0 when the profile rule decides — and the pool width the
-/// plan will execute at).
+/// can vary between one engine's plans (strategy options and the pool
+/// width the plan will execute at). The requested depth is fixed per
+/// engine, so it needs no slot.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct PlanKey {
     shape: (usize, usize, usize),
@@ -429,10 +429,7 @@ impl<T: GemmScalar> EngineInner<T> {
     fn key_for(&self, m: usize, k: usize, n: usize) -> PlanKey {
         PlanKey {
             shape: (m, k, n),
-            opts: Options {
-                steps: self.steps.unwrap_or(0),
-                ..self.base_opts
-            },
+            opts: self.base_opts,
             width: self.width,
         }
     }

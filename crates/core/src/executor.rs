@@ -18,7 +18,11 @@
 //! The whole recursion is generic over the element type
 //! ([`fmm_gemm::GemmScalar`]): decomposition coefficients are injected
 //! into the scalar once per level at plan time
-//! ([`Scalar::from_coeff`]), so the hot path never converts.
+//! ([`Scalar::from_coeff`]), so the hot path never converts. A
+//! word-packed element type whose `A` entries each cover
+//! [`GemmScalar::K_PACK`] rows of `B` runs the same recursion: every
+//! row count of `B` (block splits, peel strips, temporaries) is the
+//! matching column count of `A` times `K_PACK`.
 //!
 //! # Memory model
 //!
@@ -27,8 +31,7 @@
 //! `&mut [T]` workspace whose exact size is computed by walking the
 //! recursion tree once ([`required_workspace`]). The [`crate::Plan`] API
 //! computes that size at plan time and reuses a [`crate::Workspace`]
-//! across executes (zero allocation on the hot path); the lower-level
-//! [`FastMul`] allocates one right-sized buffer per call. Under the
+//! across executes, so the hot path allocates nothing. Under the
 //! BFS/HYBRID schemes each spawned task receives a disjoint slice of the
 //! workspace, which makes the §4.2 memory growth factor explicit in
 //! [`crate::Plan::workspace_len`].
@@ -37,7 +40,7 @@ use crate::plan::{output_plan, side_plan, SidePlan, Var};
 use fmm_gemm::{gemm, par_gemm, GemmScalar};
 use fmm_matrix::kernels;
 use fmm_matrix::partition::{Grid, PeelSplit};
-use fmm_matrix::{DenseMatrix, MatMut, MatRef, Scalar};
+use fmm_matrix::{MatMut, MatRef, Scalar};
 use fmm_tensor::Decomposition;
 
 /// How the bandwidth-bound addition chains are evaluated (§3.2).
@@ -103,18 +106,12 @@ impl Scheme {
 
 /// Executor configuration.
 ///
-/// `Eq`/`Hash` make a whole configuration usable as a cache key, which
-/// is how [`crate::FmmEngine`] indexes its plan cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The recursion depth is not an option: [`crate::Planner::steps`],
+/// the §3.4 rule or the schedule length sets it. `Eq`/`Hash` make a
+/// whole configuration usable as a cache key, which is how
+/// [`crate::FmmEngine`] indexes its plan cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Options {
-    /// Recursion depth (`steps` in the paper).
-    ///
-    /// Authoritative for [`FastMul::new`]. For schedule-based
-    /// constructors ([`FastMul::with_schedule`],
-    /// [`crate::Planner::schedule`]) the **schedule length** is the
-    /// depth: pass `steps: 0` (or the matching length) there — a
-    /// conflicting nonzero value trips a `debug_assert`.
-    pub steps: usize,
     /// Addition-chain evaluation strategy.
     pub additions: AdditionMethod,
     /// Apply greedy length-2 common subexpression elimination.
@@ -125,20 +122,8 @@ pub struct Options {
     pub border: BorderHandling,
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            steps: 1,
-            additions: AdditionMethod::WriteOnce,
-            cse: false,
-            scheme: Scheme::Sequential,
-            border: BorderHandling::DynamicPeeling,
-        }
-    }
-}
-
 /// Execution statistics collected by
-/// [`FastMul::multiply_into_with_stats`]: used by the tests to verify
+/// [`crate::Plan::execute_with_stats`]: used by the tests to verify
 /// the `R^L` leaf count and by the memory discussion of §4.2.
 #[derive(Debug, Default)]
 pub struct ExecStats {
@@ -323,7 +308,7 @@ struct NodeLayout {
     peel: PeelSplit,
     /// Elements of one S_r temporary (`(p1/m) · (q1/k)`).
     s_size: usize,
-    /// Elements of one T_r temporary (`(q1/k) · (r1/n)`).
+    /// Elements of one T_r temporary (`(q1/k) · K_PACK · (r1/n)`).
     t_size: usize,
     /// Elements of one M_r product (`(p1/m) · (r1/n)`).
     m_size: usize,
@@ -347,7 +332,7 @@ impl NodeLayout {
     /// Layout for a node at `depth` on a `p × q × r` problem, or `None`
     /// when the node degenerates to a single base-case gemm (recursion
     /// exhausted or core empty) and needs no workspace.
-    fn at<T: Scalar>(
+    fn at<T: GemmScalar>(
         levels: &[LevelPlan<T>],
         depth: usize,
         scheme: Scheme,
@@ -362,7 +347,7 @@ impl NodeLayout {
         }
         let (cp, cq, cr) = (peel.p1 / lp.m, peel.q1 / lp.k, peel.r1 / lp.n);
         let s_size = cp * cq;
-        let t_size = cq * cr;
+        let t_size = cq * T::K_PACK * cr;
         let m_size = cp * cr;
         let st_len = (0..lp.rank)
             .map(|i| {
@@ -405,7 +390,7 @@ impl NodeLayout {
 }
 
 /// Workspace elements needed by the subtree rooted at `depth`.
-fn node_workspace<T: Scalar>(
+fn node_workspace<T: GemmScalar>(
     levels: &[LevelPlan<T>],
     depth: usize,
     scheme: Scheme,
@@ -420,7 +405,7 @@ fn node_workspace<T: Scalar>(
 /// this schedule requires, including padding copies when
 /// [`BorderHandling::Padding`] is selected. One walk of the recursion
 /// tree; this is what [`crate::Plan::workspace_len`] precomputes.
-pub(crate) fn required_workspace<T: Scalar>(
+pub(crate) fn required_workspace<T: GemmScalar>(
     levels: &[LevelPlan<T>],
     opts: &Options,
     p: usize,
@@ -431,7 +416,7 @@ pub(crate) fn required_workspace<T: Scalar>(
         let (pp, qq, rr) = padded_dims(levels, p, q, r);
         if (pp, qq, rr) != (p, q, r) {
             return pp * qq
-                + qq * rr
+                + qq * T::K_PACK * rr
                 + pp * rr
                 + node_workspace(levels, 0, opts.scheme, pp, qq, rr);
         }
@@ -452,127 +437,9 @@ fn padded_dims<T>(levels: &[LevelPlan<T>], p: usize, q: usize, r: usize) -> (usi
     )
 }
 
-/// A configured fast multiplication ready to run on any problem size.
-///
-/// This is the low-level, shape-agnostic path: each call sizes and
-/// allocates one flat workspace buffer for the given operands, then
-/// runs allocation-free inside it. When the problem shape is known up
-/// front and the multiply repeats, prefer [`crate::Planner`] /
-/// [`crate::Plan::execute`], which hoist both the sizing walk and the
-/// allocation out of the hot path entirely.
-///
-/// Generic over the element type with the usual `f64` default;
-/// `FastMul::<f32>::new(..)` runs the same schedule in single
-/// precision.
-pub struct FastMul<T = f64> {
-    levels: Vec<LevelPlan<T>>,
-    opts: Options,
-}
-
-impl<T: GemmScalar> FastMul<T> {
-    /// Uniform algorithm: `opts.steps` recursive applications of `dec`.
-    ///
-    /// `opts.steps` is authoritative here (and only here); the
-    /// schedule-based constructor derives the depth from the schedule.
-    ///
-    /// # Panics
-    /// Panics when a decomposition coefficient is not representable in
-    /// `T` ([`Scalar::from_coeff`]); use [`crate::Planner`] for the
-    /// error-returning path.
-    pub fn new(dec: &Decomposition, opts: Options) -> Self {
-        let levels = (0..opts.steps)
-            .map(|_| {
-                LevelPlan::try_new(dec, opts.cse)
-                    .unwrap_or_else(|c| panic!("coefficient {c} not representable in {}", T::NAME))
-            })
-            .collect();
-        FastMul { levels, opts }
-    }
-
-    /// Composed algorithm: one decomposition per recursion level
-    /// (e.g. ⟨3,3,6⟩ ∘ ⟨3,6,3⟩ ∘ ⟨6,3,3⟩ for the ⟨54,54,54⟩ algorithm
-    /// of §5.2).
-    ///
-    /// The schedule length is the recursion depth. Pass `steps: 0` (or
-    /// a value equal to `schedule.len()`): any other nonzero value is a
-    /// configuration bug and trips a `debug_assert`. The stored options
-    /// are normalized so `steps == schedule.len()` afterwards.
-    ///
-    /// # Panics
-    /// As [`FastMul::new`], on unrepresentable coefficients.
-    pub fn with_schedule(schedule: &[&Decomposition], mut opts: Options) -> Self {
-        debug_assert!(
-            opts.steps == 0 || opts.steps == schedule.len(),
-            "Options::steps ({}) conflicts with schedule length ({}); \
-             the schedule length is authoritative — pass steps: 0",
-            opts.steps,
-            schedule.len()
-        );
-        opts.steps = schedule.len();
-        let levels = schedule
-            .iter()
-            .map(|d| {
-                LevelPlan::try_new(d, opts.cse)
-                    .unwrap_or_else(|c| panic!("coefficient {c} not representable in {}", T::NAME))
-            })
-            .collect();
-        FastMul { levels, opts }
-    }
-
-    /// `C = A · B` into a fresh matrix.
-    pub fn multiply(&self, a: &DenseMatrix<T>, b: &DenseMatrix<T>) -> DenseMatrix<T> {
-        assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
-        let mut c = DenseMatrix::zeros(a.rows(), b.cols());
-        self.multiply_into(a.as_ref(), b.as_ref(), c.as_mut());
-        c
-    }
-
-    /// `C = A · B` into a caller-provided view (contents overwritten).
-    pub fn multiply_into(&self, a: MatRef<'_, T>, b: MatRef<'_, T>, c: MatMut<'_, T>) {
-        self.run(a, b, c, None);
-    }
-
-    /// As [`FastMul::multiply_into`], additionally returning execution
-    /// statistics (leaf gemm count, peel fix-ups, temporary footprint).
-    pub fn multiply_into_with_stats(
-        &self,
-        a: MatRef<'_, T>,
-        b: MatRef<'_, T>,
-        c: MatMut<'_, T>,
-    ) -> ExecStatsSnapshot {
-        let stats = ExecStats::default();
-        let steals_before = fmm_runtime::steal_count();
-        let ws_len = self.run(a, b, c, Some(&stats));
-        let tasks_stolen = fmm_runtime::steal_count() - steals_before;
-        stats.snapshot(
-            (ws_len * std::mem::size_of::<T>()) as u64,
-            false,
-            tasks_stolen,
-        )
-    }
-
-    fn run(
-        &self,
-        a: MatRef<'_, T>,
-        b: MatRef<'_, T>,
-        c: MatMut<'_, T>,
-        stats: Option<&ExecStats>,
-    ) -> usize {
-        let len = required_workspace(&self.levels, &self.opts, a.rows(), a.cols(), b.cols());
-        let mut buf = vec![T::ZERO; len];
-        execute_on(&self.levels, &self.opts, a, b, c, stats, &mut buf);
-        len
-    }
-
-    /// Recursion depth of this executor.
-    pub fn depth(&self) -> usize {
-        self.levels.len()
-    }
-}
-
 /// Run the schedule inside `ws`, which must hold at least
-/// [`required_workspace`] elements. Shared by [`FastMul`] (fresh buffer
-/// per call) and [`crate::Plan::execute`] (reused [`crate::Workspace`]).
+/// [`required_workspace`] elements: the body of
+/// [`crate::Plan::execute`].
 pub(crate) fn execute_on<T: GemmScalar>(
     levels: &[LevelPlan<T>],
     opts: &Options,
@@ -582,7 +449,7 @@ pub(crate) fn execute_on<T: GemmScalar>(
     stats: Option<&ExecStats>,
     ws: &mut [T],
 ) {
-    assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
+    assert_eq!(a.cols() * T::K_PACK, b.rows(), "inner dimension mismatch");
     assert_eq!(c.rows(), a.rows(), "output rows mismatch");
     assert_eq!(c.cols(), b.cols(), "output cols mismatch");
     let total_leaves: u64 = levels.iter().map(|l| l.rank as u64).product();
@@ -607,9 +474,10 @@ pub(crate) fn execute_on<T: GemmScalar>(
         let (p, q, r) = (a.rows(), a.cols(), b.cols());
         let (pp, qq, rr) = padded_dims(levels, p, q, r);
         if (pp, qq, rr) != (p, q, r) {
-            ctx.count(|s| &s.temp_elements, (pp * qq + qq * rr + pp * rr) as u64);
+            let bqq = qq * T::K_PACK;
+            ctx.count(|s| &s.temp_elements, (pp * qq + bqq * rr + pp * rr) as u64);
             let (abuf, rest) = ws.split_at_mut(pp * qq);
-            let (bbuf, rest) = rest.split_at_mut(qq * rr);
+            let (bbuf, rest) = rest.split_at_mut(bqq * rr);
             let (cbuf, rest) = rest.split_at_mut(pp * rr);
             // The workspace may hold stale values from a previous
             // execute; the pad frame must be exact zeros.
@@ -620,7 +488,7 @@ pub(crate) fn execute_on<T: GemmScalar>(
                 a,
             );
             kernels::copy(
-                MatMut::from_slice(bbuf, qq, rr, rr).into_block(0, 0, q, r),
+                MatMut::from_slice(bbuf, bqq, rr, rr).into_block(0, 0, b.rows(), r),
                 b,
             );
             run_node(
@@ -628,7 +496,7 @@ pub(crate) fn execute_on<T: GemmScalar>(
                 0,
                 0,
                 MatRef::from_slice(abuf, pp, qq, qq),
-                MatRef::from_slice(bbuf, qq, rr, rr),
+                MatRef::from_slice(bbuf, bqq, rr, rr),
                 MatMut::from_slice(cbuf, pp, rr, rr),
                 rest,
             );
@@ -704,7 +572,7 @@ impl<T: GemmScalar> Ctx<'_, T> {
     ) {
         self.count(|s| &s.base_gemms, 1);
         self.mark_thread();
-        let flops = (a.rows() * a.cols() * b.cols()) as u64;
+        let flops = (a.rows() * b.rows() * b.cols()) as u64;
         let t_span = fmm_trace::now_if(self.trace);
         match self.scheme {
             Scheme::Sequential | Scheme::Bfs => gemm(alpha, a, b, beta, c),
@@ -732,7 +600,7 @@ impl<T: GemmScalar> Ctx<'_, T> {
     ) {
         self.count(|s| &s.peel_gemms, 1);
         self.mark_thread();
-        let flops = (a.rows() * a.cols() * b.cols()) as u64;
+        let flops = (a.rows() * b.rows() * b.cols()) as u64;
         let t_span = fmm_trace::now_if(self.trace);
         let par = match self.scheme {
             Scheme::Sequential => false,
@@ -768,9 +636,11 @@ fn run_node<T: GemmScalar>(
     let peel = layout.peel;
     let (p1, q1, r1) = (peel.p1, peel.q1, peel.r1);
     let (dp, dq, dr) = (peel.dp, peel.dq, peel.dr);
+    // B's rows for A's core and strip columns.
+    let (bq1, bdq) = (q1 * T::K_PACK, dq * T::K_PACK);
 
     let a11 = a.block(0, 0, p1, q1);
-    let b11 = b.block(0, 0, q1, r1);
+    let b11 = b.block(0, 0, bq1, r1);
 
     // Fast multiplication on the divisible core, then the thin
     // dynamic-peeling fix-up products (§3.5). Sequential mutable
@@ -789,7 +659,7 @@ fn run_node<T: GemmScalar>(
     if dq > 0 {
         // C11 += A12·B21
         let a12 = a.block(0, q1, p1, dq);
-        let b21 = b.block(q1, 0, dq, r1);
+        let b21 = b.block(bq1, 0, bdq, r1);
         ctx.strip_gemm(
             depth,
             T::ONE,
@@ -801,7 +671,7 @@ fn run_node<T: GemmScalar>(
     }
     if dr > 0 {
         // C12 = A11·B12 + A12·B22
-        let b12 = b.block(0, r1, q1, dr);
+        let b12 = b.block(0, r1, bq1, dr);
         ctx.strip_gemm(
             depth,
             T::ONE,
@@ -812,7 +682,7 @@ fn run_node<T: GemmScalar>(
         );
         if dq > 0 {
             let a12 = a.block(0, q1, p1, dq);
-            let b22 = b.block(q1, r1, dq, dr);
+            let b22 = b.block(bq1, r1, bdq, dr);
             ctx.strip_gemm(
                 depth,
                 T::ONE,
@@ -836,7 +706,7 @@ fn run_node<T: GemmScalar>(
         );
         if dq > 0 {
             let a22 = a.block(p1, q1, dp, dq);
-            let b21 = b.block(q1, 0, dq, r1);
+            let b21 = b.block(bq1, 0, bdq, r1);
             ctx.strip_gemm(
                 depth,
                 T::ONE,
@@ -850,7 +720,7 @@ fn run_node<T: GemmScalar>(
     if dp > 0 && dr > 0 {
         // C22 = A21·B12 + A22·B22
         let a21 = a.block(p1, 0, dp, q1);
-        let b12 = b.block(0, r1, q1, dr);
+        let b12 = b.block(0, r1, bq1, dr);
         ctx.strip_gemm(
             depth,
             T::ONE,
@@ -861,7 +731,7 @@ fn run_node<T: GemmScalar>(
         );
         if dq > 0 {
             let a22 = a.block(p1, q1, dp, dq);
-            let b22 = b.block(q1, r1, dq, dr);
+            let b22 = b.block(bq1, r1, bdq, dr);
             ctx.strip_gemm(
                 depth,
                 T::ONE,

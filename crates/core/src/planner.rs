@@ -256,9 +256,7 @@ impl Planner {
         self
     }
 
-    /// Absorb the strategy fields of an executor [`Options`]
-    /// (additions, cse, scheme, border). `steps` is deliberately *not*
-    /// copied — set it via [`Planner::steps`] or let the profile decide.
+    /// Absorb an executor [`Options`] (additions, cse, scheme, border).
     #[must_use]
     pub fn options(mut self, opts: Options) -> Self {
         self.additions = opts.additions;
@@ -325,7 +323,6 @@ impl Planner {
             }
         };
         let opts = Options {
-            steps: schedule.len(),
             additions: self.additions,
             cse: self.cse,
             scheme: self.scheme,
@@ -386,8 +383,7 @@ impl<T: GemmScalar> Plan<T> {
         self.levels.len()
     }
 
-    /// The resolved executor options (with `steps` normalized to the
-    /// schedule length).
+    /// The resolved executor options.
     pub fn options(&self) -> Options {
         self.opts
     }
@@ -417,7 +413,8 @@ impl<T: GemmScalar> Plan<T> {
     /// repeated calls allocate nothing.
     ///
     /// # Panics
-    /// Panics when the operand shapes differ from [`Plan::shape`].
+    /// Panics when the operand shapes differ from [`Plan::shape`] (`B`
+    /// has `k · K_PACK` rows, see [`GemmScalar::K_PACK`]).
     pub fn execute(
         &self,
         a: &DenseMatrix<T>,
@@ -455,7 +452,11 @@ impl<T: GemmScalar> Plan<T> {
     ) -> bool {
         let (m, k, n) = self.shape;
         assert_eq!(a.shape(), (m, k), "A shape differs from the planned shape");
-        assert_eq!(b.shape(), (k, n), "B shape differs from the planned shape");
+        assert_eq!(
+            b.shape(),
+            (k * T::K_PACK, n),
+            "B shape differs from the planned shape"
+        );
         assert_eq!(c.shape(), (m, n), "C shape differs from the planned shape");
         let (buf, reused) = workspace.checkout(self.ws_len);
         execute_on(
@@ -570,8 +571,6 @@ mod tests {
             .plan::<f64>()
             .unwrap();
         assert!(plan.depth() > 0);
-        let lv = plan.options();
-        assert_eq!(lv.steps, plan.depth());
     }
 
     #[test]

@@ -40,6 +40,13 @@ use fmm_matrix::{DenseMatrix, MatMut, MatRef, Scalar};
 /// implements it once (the default body falls back to the naive
 /// triple loop, which is always correct) and the whole stack serves it.
 pub trait GemmScalar: Scalar {
+    /// Rows of `B` per stored column of `A`: the number of inner-
+    /// dimension entries one element of `A` packs. An `m × q` `A`
+    /// multiplies a `(q·K_PACK) × n` `B`. Every one-entry-per-element
+    /// type keeps the default 1; a word-packed type whose element holds
+    /// a run of a row sets it to the run length.
+    const K_PACK: usize = 1;
+
     /// Sequential packed `C ← α·A·B + β·C` with this scalar's register
     /// tile.
     fn packed_gemm(
@@ -109,7 +116,7 @@ pub fn gemm<T: GemmScalar>(
 
 /// Convenience wrapper: `C = A·B` as a new owned matrix.
 pub fn matmul<T: GemmScalar>(a: &DenseMatrix<T>, b: &DenseMatrix<T>) -> DenseMatrix<T> {
-    assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
+    assert_eq!(a.cols() * T::K_PACK, b.rows(), "inner dimension mismatch");
     let mut c = DenseMatrix::zeros(a.rows(), b.cols());
     gemm(T::ONE, a.as_ref(), b.as_ref(), T::ZERO, c.as_mut());
     c

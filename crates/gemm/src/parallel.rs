@@ -43,7 +43,7 @@ pub fn par_gemm_with<T: GemmScalar>(
     beta: T,
     c: MatMut<'_, T>,
 ) {
-    assert_eq!(b.rows(), a.cols(), "inner dimension mismatch");
+    assert_eq!(b.rows(), a.cols() * T::K_PACK, "inner dimension mismatch");
     assert_eq!(c.rows(), a.rows(), "output rows mismatch");
     assert_eq!(c.cols(), b.cols(), "output cols mismatch");
     // Pool width at *call* time: the same function parallelizes

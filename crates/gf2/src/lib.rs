@@ -10,27 +10,29 @@
 //! replaces per-bit inner products with Gray-code combination-table
 //! lookups for an extra `≈ log₂ m` over word-parallel broadcast.
 //!
-//! Two integration paths, both exercised by the test suite:
+//! One recursion engine serves both element types, the core executor
+//! of `fmm-core`:
 //!
-//! * **Generic seam** — [`Gf2`] implements [`fmm_matrix::Scalar`] and
-//!   [`fmm_gemm::GemmScalar`], so `DenseMatrix<Gf2>`,
-//!   `fmm_core::Planner::plan::<Gf2>()` and the whole float stack work
-//!   unchanged (one element per byte; correctness and plan-time
-//!   coefficient checking, not speed).
-//! * **Packed path** — [`Gf2Matrix`] + [`Gf2Planner`]/[`Gf2Plan`]:
-//!   word-packed storage, the M4RM kernel, Strassen recursion over the
-//!   `.alg` catalog, parallel rank fan-out on the `fmm-runtime` pool,
-//!   zero-alloc steady state via [`Gf2Workspace`], and `fmm-trace`
-//!   spans/histograms. This is the performance path.
+//! * [`Gf2`] is one entry per byte: `DenseMatrix<Gf2>` and
+//!   `fmm_core::Planner::plan::<Gf2>()` run the float stack unchanged,
+//!   for correctness and plan-time coefficient checking, not speed.
+//! * [`Gf2Word`] packs 64 entries of a row. Its
+//!   [`fmm_gemm::GemmScalar::K_PACK`] is 64 (one word of `A` meets 64
+//!   rows of `B`) and its base-case gemm is M4RM, so [`Gf2Matrix`] +
+//!   [`Gf2Planner`]/[`Gf2Plan`] is a core plan over words: Strassen
+//!   over the `.alg` catalog, BFS fan-out on the `fmm-runtime` pool,
+//!   a zero-alloc steady state via [`Gf2Workspace`], and the
+//!   executor's `fmm-trace` spans. This is the performance path.
 //!
 //! ## The coefficient-lift rule
 //!
 //! `.alg` files store scheme coefficients as `f64`. GF(2) can only
-//! represent their images mod 2, so [`Gf2`]'s `Scalar::from_coeff` (and the level
-//! lift in [`Gf2Planner`]) applies: **odd → 1, even → 0, fractional →
-//! error**. Exact integer schemes (Strassen's ±1/0) lift cleanly; APA
-//! border schemes (Bini ⟨3,2,2⟩, Schönhage ⟨3,3,3⟩) carry fractional
-//! fit coefficients and are rejected at *plan* time with
+//! represent their images mod 2, so `Scalar::from_coeff` of both
+//! element types (and the lift check in [`Gf2Planner`]) applies:
+//! **odd → 1, even → 0, fractional → error**. Exact integer schemes
+//! (Strassen's ±1/0) lift cleanly; APA border schemes (Bini ⟨3,2,2⟩,
+//! Schönhage ⟨3,3,3⟩) carry fractional fit coefficients and are
+//! rejected at *plan* time with
 //! [`fmm_core::PlanError::UnrepresentableCoefficient`] naming the
 //! scheme and the offending value — never a silently wrong answer.
 //!
@@ -52,8 +54,6 @@ mod m4rm;
 mod matrix;
 mod plan;
 
-pub use elem::Gf2;
+pub use elem::{Gf2, Gf2Word};
 pub use matrix::{Gf2Matrix, WORD_BITS};
-pub use plan::{
-    latency_histograms, measure_m4rm_profile, Gf2Plan, Gf2Planner, Gf2Workspace, GF2_CUTOFF_BITS,
-};
+pub use plan::{measure_m4rm_profile, Gf2Plan, Gf2Planner, Gf2Workspace, GF2_CUTOFF_BITS};

@@ -23,77 +23,100 @@
 //! amortizing the traffic on `C`'s rows.
 //!
 //! The kernel is *accumulating* (`C ⊕= A·B` or `C |= A·B`) and works on
-//! raw word slices with explicit strides, so the Strassen recursion in
-//! [`crate::Gf2Plan`] can point it at word-aligned blocks of arena
-//! buffers with zero copies. Scratch for the tables is caller-provided
-//! for the same reason.
+//! strided [`Gf2Word`] views, so one kernel serves the whole-matrix
+//! products of [`Gf2Matrix`] and the leaves of the core executor, which
+//! reach it through `Gf2Word`'s `packed_gemm` on word-aligned blocks of
+//! its operands and temporaries. The tables live in a per-thread buffer
+//! that only grows, so steady-state calls allocate nothing.
 
+use crate::elem::Gf2Word;
 use crate::matrix::{Gf2Matrix, WORD_BITS};
+use fmm_matrix::{MatMut, MatRef};
+use std::cell::RefCell;
 
 /// Combination tables built per pass over `A`'s rows.
-pub(crate) const TABLES_PER_PASS: usize = 4;
+const TABLES_PER_PASS: usize = 4;
 
 /// Upper bound on the group width `kb` (table size `2^kb` rows).
-pub(crate) const MAX_KB: usize = 8;
+const MAX_KB: usize = 8;
+
+thread_local! {
+    /// This thread's combination tables, sized by the largest call yet.
+    static TABLES: RefCell<Vec<Gf2Word>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Group width for an `m × k` multiply: `≈ log₂ m − 2`, clamped to
 /// `[1, MAX_KB]` and to `k`. The `−2` biases toward smaller tables —
 /// table build cost `2^kb` must stay well under `m` lookups per group.
-pub(crate) fn choose_kb(m: usize, k: usize) -> usize {
+fn choose_kb(m: usize, k: usize) -> usize {
     let log2m = (usize::BITS - m.max(1).leading_zeros()) as usize;
     log2m.saturating_sub(2).clamp(1, MAX_KB).min(k.max(1))
 }
 
-/// Scratch words needed by [`m4rm_acc`] for a `kb`-bit kernel writing
-/// `nw`-word rows.
-pub(crate) fn scratch_words(kb: usize, nw: usize) -> usize {
+/// Words of one pass's tables for a `kb`-bit kernel writing `nw`-word rows.
+fn tables_len(kb: usize, nw: usize) -> usize {
     TABLES_PER_PASS * (1usize << kb) * nw
 }
 
 /// Extract `nbits ≤ 64` bits of `row` starting at bit `start`
 /// (LSB-first packing; may straddle one word boundary).
 #[inline]
-fn extract_bits(row: &[u64], start: usize, nbits: usize) -> usize {
+fn extract_bits(row: &[Gf2Word], start: usize, nbits: usize) -> usize {
     let w = start / WORD_BITS;
     let o = start % WORD_BITS;
-    let mut v = row[w] >> o;
+    let mut v = row[w].0 >> o;
     if o + nbits > WORD_BITS {
         // Straddle: o ≥ 57 here (nbits ≤ 8), so 64 − o is a valid shift.
-        v |= row[w + 1] << (WORD_BITS - o);
+        v |= row[w + 1].0 << (WORD_BITS - o);
     }
     (v & ((1u64 << nbits) - 1)) as usize
 }
 
-/// Accumulating M4RM product over packed words.
+/// Accumulating M4RM product with the group width chosen for the shape
+/// and the tables in this thread's buffer: `C ⊕= α·(A·B)` (`or_mode =
+/// false`, GF(2); `α` masks lanes) or `C |= A·B` (`or_mode = true`).
 ///
-/// Computes `C ⊕= A·B` (`or_mode = false`, GF(2)) or `C |= A·B`
-/// (`or_mode = true`, boolean semiring), where `A` is `m` rows × `k`
-/// bits at `a_stride` words/row, `B` is `k` rows × `nw` words at
-/// `b_stride`, and `C` is `m` rows × `nw` words at `c_stride`. Rows of
-/// `B` and `C` must be exactly `nw` valid words (callers keep padding
-/// bits zero). `scratch` must hold at least
-/// [`scratch_words`]`(kb, nw)` words; its contents on entry are
-/// irrelevant.
-#[allow(clippy::too_many_arguments)]
+/// `A` holds `m` rows of words covering at least `k` bit columns, `B`
+/// is `k` rows of `nw` words, and `C` is `m × nw` words, where
+/// `k = b.rows()`. Bits of `A` past column `k` are never read.
 pub(crate) fn m4rm_acc(
-    c: &mut [u64],
-    c_stride: usize,
-    a: &[u64],
-    a_stride: usize,
-    b: &[u64],
-    b_stride: usize,
-    m: usize,
-    k: usize,
-    nw: usize,
-    kb: usize,
-    scratch: &mut [u64],
+    c: MatMut<'_, Gf2Word>,
+    a: MatRef<'_, Gf2Word>,
+    b: MatRef<'_, Gf2Word>,
+    alpha: Gf2Word,
     or_mode: bool,
 ) {
-    if m == 0 || k == 0 || nw == 0 {
+    let (m, k, nw) = (a.rows(), b.rows(), b.cols());
+    if m == 0 || k == 0 || nw == 0 || alpha == Gf2Word::ZERO {
         return;
     }
+    let kb = choose_kb(m, k);
+    TABLES.with(|tables| {
+        let mut tables = tables.borrow_mut();
+        let need = tables_len(kb, nw);
+        if tables.len() < need {
+            tables.resize(need, Gf2Word::ZERO);
+        }
+        m4rm_kb(c, a, b, alpha, or_mode, kb, &mut tables);
+    });
+}
+
+/// [`m4rm_acc`] with an explicit group width `kb` and table buffer of
+/// at least [`tables_len`]`(kb, nw)` words (contents irrelevant).
+fn m4rm_kb(
+    mut c: MatMut<'_, Gf2Word>,
+    a: MatRef<'_, Gf2Word>,
+    b: MatRef<'_, Gf2Word>,
+    alpha: Gf2Word,
+    or_mode: bool,
+    kb: usize,
+    tables: &mut [Gf2Word],
+) {
+    let (m, k, nw) = (a.rows(), b.rows(), b.cols());
+    debug_assert!(k <= a.cols() * WORD_BITS);
+    debug_assert_eq!((c.rows(), c.cols()), (m, nw));
     debug_assert!((1..=MAX_KB).contains(&kb));
-    debug_assert!(scratch.len() >= scratch_words(kb, nw));
+    debug_assert!(tables.len() >= tables_len(kb, nw));
     let tbl_rows = 1usize << kb;
     let tbl_words = tbl_rows * nw;
 
@@ -113,17 +136,17 @@ pub(crate) fn m4rm_acc(
         // Build the tables for this pass.
         let mut s = k0;
         for (t, &bits) in widths.iter().enumerate().take(ntab) {
-            let tbl = &mut scratch[t * tbl_words..(t + 1) * tbl_words];
-            tbl[..nw].fill(0);
+            let tbl = &mut tables[t * tbl_words..(t + 1) * tbl_words];
+            tbl[..nw].fill(Gf2Word::ZERO);
             for idx in 1..(1usize << bits) {
                 let low = idx.trailing_zeros() as usize;
-                let brow = &b[(s + low) * b_stride..(s + low) * b_stride + nw];
+                let brow = b.row(s + low);
                 if or_mode {
                     // Clear-lowest-bit recurrence: idx & (idx − 1) is
                     // already filled (it is smaller than idx).
                     let prev = idx & (idx - 1);
                     for w in 0..nw {
-                        tbl[idx * nw + w] = tbl[prev * nw + w] | brow[w];
+                        tbl[idx * nw + w].0 = tbl[prev * nw + w].0 | brow[w].0;
                     }
                 } else {
                     // Gray-code walk: entry g(idx) toggles exactly bit
@@ -131,8 +154,14 @@ pub(crate) fn m4rm_acc(
                     let g = idx ^ (idx >> 1);
                     let prev = (idx - 1) ^ ((idx - 1) >> 1);
                     for w in 0..nw {
-                        tbl[g * nw + w] = tbl[prev * nw + w] ^ brow[w];
+                        tbl[g * nw + w].0 = tbl[prev * nw + w].0 ^ brow[w].0;
                     }
+                }
+            }
+            if alpha != Gf2Word::ONE {
+                // α·(A·B) = A·(B with lanes masked): mask the table once.
+                for e in &mut tbl[..(1usize << bits) * nw] {
+                    e.0 &= alpha.0;
                 }
             }
             s += bits;
@@ -140,20 +169,20 @@ pub(crate) fn m4rm_acc(
 
         // Sweep A's rows once, retiring all `covered` columns.
         for i in 0..m {
-            let arow = &a[i * a_stride..i * a_stride + a_stride];
-            let crow = &mut c[i * c_stride..i * c_stride + nw];
+            let arow = a.row(i);
+            let crow = c.row_mut(i);
             let mut s = k0;
             for (t, &bits) in widths.iter().enumerate().take(ntab) {
                 let idx = extract_bits(arow, s, bits);
                 if idx != 0 {
-                    let trow = &scratch[t * tbl_words + idx * nw..t * tbl_words + (idx + 1) * nw];
+                    let trow = &tables[t * tbl_words + idx * nw..t * tbl_words + (idx + 1) * nw];
                     if or_mode {
-                        for (cd, &tv) in crow.iter_mut().zip(trow) {
-                            *cd |= tv;
+                        for (cd, tv) in crow.iter_mut().zip(trow) {
+                            cd.0 |= tv.0;
                         }
                     } else {
-                        for (cd, &tv) in crow.iter_mut().zip(trow) {
-                            *cd ^= tv;
+                        for (cd, tv) in crow.iter_mut().zip(trow) {
+                            cd.0 ^= tv.0;
                         }
                     }
                 }
@@ -166,8 +195,7 @@ pub(crate) fn m4rm_acc(
 }
 
 impl Gf2Matrix {
-    /// GF(2) product `A·B` via the M4RM kernel (fresh scratch; the
-    /// zero-alloc path is [`crate::Gf2Plan::execute`]).
+    /// GF(2) product `A·B` via the M4RM kernel.
     ///
     /// # Panics
     /// Panics when `self.cols() != rhs.rows()`.
@@ -195,23 +223,11 @@ impl Gf2Matrix {
             rhs.cols()
         );
         let mut c = Gf2Matrix::zeros(self.rows(), rhs.cols());
-        let kb = choose_kb(self.rows(), self.cols());
-        let nw = c.stride();
-        let mut scratch = vec![0u64; scratch_words(kb, nw)];
-        let (m, k) = (self.rows(), self.cols());
-        let (a_stride, b_stride, c_stride) = (self.stride(), rhs.stride(), c.stride());
         m4rm_acc(
-            c.words_mut(),
-            c_stride,
-            self.words(),
-            a_stride,
-            rhs.words(),
-            b_stride,
-            m,
-            k,
-            nw,
-            kb,
-            &mut scratch,
+            c.packed_mut().as_mut(),
+            self.packed().as_ref(),
+            rhs.packed().as_ref(),
+            Gf2Word::ONE,
             or_mode,
         );
         c
@@ -236,7 +252,7 @@ mod tests {
 
     #[test]
     fn extract_bits_straddles_words() {
-        let row = [0xF000_0000_0000_0000u64, 0b1011];
+        let row = [Gf2Word(0xF000_0000_0000_0000), Gf2Word(0b1011)];
         // Bits 60..68 = high nibble of word 0 (all ones) then 0b1011.
         assert_eq!(extract_bits(&row, 60, 8), 0b1011_1111);
         assert_eq!(extract_bits(&row, 0, 4), 0);
@@ -272,21 +288,15 @@ mod tests {
         for kb in 1..=MAX_KB {
             for &or_mode in &[false, true] {
                 let mut c = Gf2Matrix::zeros(m, n);
-                let mut scratch = vec![0u64; scratch_words(kb, c.stride())];
-                let (cs, nw) = (c.stride(), c.stride());
-                m4rm_acc(
-                    c.words_mut(),
-                    cs,
-                    a.words(),
-                    a.stride(),
-                    b.words(),
-                    b.stride(),
-                    m,
-                    k,
-                    nw,
-                    kb,
-                    &mut scratch,
+                let mut tables = vec![Gf2Word::ZERO; tables_len(kb, c.stride())];
+                m4rm_kb(
+                    c.packed_mut().as_mut(),
+                    a.packed().as_ref(),
+                    b.packed().as_ref(),
+                    Gf2Word::ONE,
                     or_mode,
+                    kb,
+                    &mut tables,
                 );
                 let want = if or_mode { &or_want } else { &want };
                 assert_eq!(&c, want, "kb={kb} or={or_mode}");
@@ -304,23 +314,34 @@ mod tests {
         let mut c = Gf2Matrix::random(m, n, &mut rng);
         let mut want = c.clone();
         want.xor_assign(&a.mul_naive(&b));
-        let kb = 3;
-        let mut scratch = vec![0u64; scratch_words(kb, c.stride())];
-        let (cs, nw) = (c.stride(), c.stride());
         m4rm_acc(
-            c.words_mut(),
-            cs,
-            a.words(),
-            a.stride(),
-            b.words(),
-            b.stride(),
-            m,
-            k,
-            nw,
-            kb,
-            &mut scratch,
+            c.packed_mut().as_mut(),
+            a.packed().as_ref(),
+            b.packed().as_ref(),
+            Gf2Word::ONE,
             false,
         );
         assert_eq!(c, want);
+    }
+
+    #[test]
+    fn alpha_masks_the_product_lanes() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let (m, k, n) = (9, 70, 64);
+        let a = Gf2Matrix::random(m, k, &mut rng);
+        let b = Gf2Matrix::random(k, n, &mut rng);
+        let mask = Gf2Word(0x00ff_00ff_00ff_00ff);
+        let mut c = Gf2Matrix::zeros(m, n);
+        m4rm_acc(
+            c.packed_mut().as_mut(),
+            a.packed().as_ref(),
+            b.packed().as_ref(),
+            mask,
+            false,
+        );
+        let want = a.mul_naive(&b);
+        for i in 0..m {
+            assert_eq!(c.row_words(i)[0].0, want.row_words(i)[0].0 & mask.0);
+        }
     }
 }

@@ -1,48 +1,37 @@
-//! [`Gf2Matrix`]: a boolean matrix packed 64 entries per `u64`.
+//! [`Gf2Matrix`]: a boolean matrix packed 64 entries per [`Gf2Word`].
 //!
-//! Layout: row-major words, LSB-first within a word — bit `j` of row `i`
-//! lives in word `i * stride + j / 64` at bit position `j % 64`, where
-//! `stride = ceil(cols / 64)`. Padding bits past `cols` in the last word
-//! of each row are **always zero**; every mutating method maintains that
+//! Layout: a row-major `DenseMatrix<Gf2Word>` of `rows × stride` words,
+//! LSB-first within a word — bit `j` of row `i` lives in word
+//! `(i, j / 64)` at bit position `j % 64`, where `stride =
+//! ceil(cols / 64)`. Padding bits past `cols` in the last word of each
+//! row are **always zero**; every mutating method maintains that
 //! invariant, which is what lets `PartialEq` on the raw words be logical
-//! equality and lets row-wise XOR/OR kernels skip per-bit masking.
+//! equality and lets row-wise XOR/OR kernels skip per-bit masking. The
+//! word matrix is exactly what the core executor multiplies.
 
-use crate::Gf2;
+use crate::{Gf2, Gf2Word};
 use fmm_matrix::DenseMatrix;
 use rand::Rng;
 
 /// Number of matrix entries packed into one machine word.
 pub const WORD_BITS: usize = 64;
 
-/// A dense matrix over GF(2), bit-packed 64 entries per `u64`.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// A dense matrix over GF(2), bit-packed 64 entries per word.
+#[derive(Clone, PartialEq, Debug)]
 pub struct Gf2Matrix {
-    rows: usize,
     cols: usize,
-    /// Words per row (`ceil(cols / 64)`).
-    stride: usize,
-    /// `rows * stride` words, row-major.
-    data: Vec<u64>,
+    /// `rows × ceil(cols / 64)` words.
+    words: DenseMatrix<Gf2Word>,
 }
 
-/// Mask selecting the valid bits of a row's final word.
-#[inline]
-pub(crate) fn tail_mask(cols: usize) -> u64 {
-    match cols % WORD_BITS {
-        0 => !0,
-        r => (1u64 << r) - 1,
-    }
-}
+impl Eq for Gf2Matrix {}
 
 impl Gf2Matrix {
     /// The all-zeros `rows × cols` matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        let stride = cols.div_ceil(WORD_BITS);
         Gf2Matrix {
-            rows,
             cols,
-            stride,
-            data: vec![0; rows * stride],
+            words: DenseMatrix::zeros(rows, cols.div_ceil(WORD_BITS)),
         }
     }
 
@@ -76,7 +65,7 @@ impl Gf2Matrix {
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
-        self.rows
+        self.words.rows()
     }
 
     /// Number of columns.
@@ -88,34 +77,40 @@ impl Gf2Matrix {
     /// Words per row.
     #[inline]
     pub fn stride(&self) -> usize {
-        self.stride
+        self.words.cols()
     }
 
     /// The packed words, row-major.
     #[inline]
-    pub fn words(&self) -> &[u64] {
-        &self.data
+    pub fn words(&self) -> &[Gf2Word] {
+        self.words.as_slice()
     }
 
-    /// Mutable packed words. Crate-internal: callers must preserve the
+    /// The packed words as a `rows × stride` word matrix.
+    #[inline]
+    pub(crate) fn packed(&self) -> &DenseMatrix<Gf2Word> {
+        &self.words
+    }
+
+    /// Mutable word matrix. Crate-internal: callers must preserve the
     /// zero-tail-bits invariant.
     #[inline]
-    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.data
+    pub(crate) fn packed_mut(&mut self) -> &mut DenseMatrix<Gf2Word> {
+        &mut self.words
     }
 
     /// Read entry `(i, j)`.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> bool {
-        debug_assert!(i < self.rows && j < self.cols);
-        (self.data[i * self.stride + j / WORD_BITS] >> (j % WORD_BITS)) & 1 == 1
+        debug_assert!(i < self.rows() && j < self.cols);
+        (self.words[(i, j / WORD_BITS)].0 >> (j % WORD_BITS)) & 1 == 1
     }
 
     /// Write entry `(i, j)`.
     #[inline]
     pub fn set(&mut self, i: usize, j: usize, v: bool) {
-        debug_assert!(i < self.rows && j < self.cols);
-        let w = &mut self.data[i * self.stride + j / WORD_BITS];
+        debug_assert!(i < self.rows() && j < self.cols);
+        let w = &mut self.words[(i, j / WORD_BITS)].0;
         let bit = 1u64 << (j % WORD_BITS);
         if v {
             *w |= bit;
@@ -126,18 +121,13 @@ impl Gf2Matrix {
 
     /// The packed words of row `i`.
     #[inline]
-    pub fn row_words(&self, i: usize) -> &[u64] {
-        &self.data[i * self.stride..(i + 1) * self.stride]
-    }
-
-    #[inline]
-    pub(crate) fn row_words_mut(&mut self, i: usize) -> &mut [u64] {
-        &mut self.data[i * self.stride..(i + 1) * self.stride]
+    pub fn row_words(&self, i: usize) -> &[Gf2Word] {
+        self.words.row(i)
     }
 
     /// Number of set entries.
     pub fn count_ones(&self) -> usize {
-        self.data.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.0.count_ones() as usize).sum()
     }
 
     /// `self ^= rhs` (entrywise GF(2) addition — also subtraction).
@@ -146,12 +136,12 @@ impl Gf2Matrix {
     /// Panics on shape mismatch.
     pub fn xor_assign(&mut self, rhs: &Gf2Matrix) {
         assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
+            (self.rows(), self.cols),
+            (rhs.rows(), rhs.cols),
             "xor_assign: shape mismatch"
         );
-        for (d, s) in self.data.iter_mut().zip(&rhs.data) {
-            *d ^= s;
+        for (d, s) in self.words.as_mut_slice().iter_mut().zip(rhs.words()) {
+            d.0 ^= s.0;
         }
     }
 
@@ -161,18 +151,18 @@ impl Gf2Matrix {
     /// Panics on shape mismatch.
     pub fn or_assign(&mut self, rhs: &Gf2Matrix) {
         assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
+            (self.rows(), self.cols),
+            (rhs.rows(), rhs.cols),
             "or_assign: shape mismatch"
         );
-        for (d, s) in self.data.iter_mut().zip(&rhs.data) {
-            *d |= s;
+        for (d, s) in self.words.as_mut_slice().iter_mut().zip(rhs.words()) {
+            d.0 |= s.0;
         }
     }
 
     /// Unpack into a one-element-per-entry [`DenseMatrix<Gf2>`].
     pub fn to_dense(&self) -> DenseMatrix<Gf2> {
-        DenseMatrix::from_fn(self.rows, self.cols, |i, j| Gf2::new(self.get(i, j)))
+        DenseMatrix::from_fn(self.rows(), self.cols, |i, j| Gf2::new(self.get(i, j)))
     }
 
     /// Pack a [`DenseMatrix<Gf2>`].
@@ -201,28 +191,32 @@ impl Gf2Matrix {
 
     fn mul_broadcast(&self, rhs: &Gf2Matrix, or_mode: bool) -> Gf2Matrix {
         assert_eq!(
-            self.cols, rhs.rows,
+            self.cols,
+            rhs.rows(),
             "mul: inner dimension mismatch ({}x{} · {}x{})",
-            self.rows, self.cols, rhs.rows, rhs.cols
+            self.rows(),
+            self.cols,
+            rhs.rows(),
+            rhs.cols
         );
-        let mut c = Gf2Matrix::zeros(self.rows, rhs.cols);
-        let nw = c.stride;
-        for i in 0..self.rows {
+        let mut c = Gf2Matrix::zeros(self.rows(), rhs.cols);
+        let mut cw = c.words.as_mut();
+        for i in 0..self.rows() {
             let arow = self.row_words(i);
-            let crow = &mut c.data[i * nw..(i + 1) * nw];
-            for (wi, &aw) in arow.iter().enumerate() {
-                let mut bits = aw;
+            let crow = cw.row_mut(i);
+            for (wi, aw) in arow.iter().enumerate() {
+                let mut bits = aw.0;
                 while bits != 0 {
                     let l = wi * WORD_BITS + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
                     let brow = rhs.row_words(l);
                     if or_mode {
-                        for (cd, &bs) in crow.iter_mut().zip(brow) {
-                            *cd |= bs;
+                        for (cd, bs) in crow.iter_mut().zip(brow) {
+                            cd.0 |= bs.0;
                         }
                     } else {
-                        for (cd, &bs) in crow.iter_mut().zip(brow) {
-                            *cd ^= bs;
+                        for (cd, bs) in crow.iter_mut().zip(brow) {
+                            cd.0 ^= bs.0;
                         }
                     }
                 }
@@ -258,9 +252,10 @@ mod tests {
             let dense = m.to_dense();
             assert_eq!(Gf2Matrix::from_dense(&dense), m);
             // Tail bits beyond `cols` stay zero in every row.
-            let mask = tail_mask(c);
+            let valid = c % WORD_BITS;
             for i in 0..r {
-                assert_eq!(m.row_words(i)[m.stride() - 1] & !mask, 0);
+                let tail = m.row_words(i)[m.stride() - 1].0;
+                assert!(valid == 0 || tail >> valid == 0);
             }
         }
     }

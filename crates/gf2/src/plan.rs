@@ -1,43 +1,32 @@
-//! Strassen recursion over the packed M4RM kernel: [`Gf2Planner`] →
-//! [`Gf2Plan`] → [`Gf2Plan::execute`] against a [`Gf2Workspace`].
+//! Strassen over the packed M4RM kernel: [`Gf2Planner`] → [`Gf2Plan`]
+//! → [`Gf2Plan::execute`] against a [`Gf2Workspace`].
 //!
-//! This mirrors the float stack's plan/execute discipline on the packed
-//! representation (bit-packing cannot flow through `DenseMatrix<T>` —
-//! 64 entries share a word), while **reusing** the existing machinery
-//! rather than duplicating it:
+//! A [`Gf2Matrix`] stores [`Gf2Word`]s, and `Gf2Word` is a
+//! [`fmm_gemm::GemmScalar`] whose words of `A` each cover 64 rows of
+//! `B`. A GF(2) plan is therefore an [`fmm_core::Plan`] over the word
+//! shape `m × ⌈k/64⌉ × ⌈n/64⌉`: the core executor forms S/T/M with its
+//! `lincomb` kernels (XOR under a lifted coefficient mask), runs M4RM
+//! at the leaves, peels ragged word dimensions, fans out under BFS,
+//! and emits the same `fmm-trace` spans as for floats. This module adds
+//! only what is GF(2)-specific:
 //!
-//! * the `.alg` catalog supplies the schemes, lifted mod 2 per rank
-//!   column (odd → include the block, even → drop it, fractional →
-//!   [`PlanError::UnrepresentableCoefficient`] — the same rule as
-//!   [`Gf2::from_coeff`], applied through it);
-//! * depth selection reuses [`fmm_core::GemmProfile`]'s §3.4 cutoff
-//!   rule via [`Gf2Planner::profile`] (feed it M4RM word-op rates from
-//!   [`measure_m4rm_profile`]), with a fixed bit-size cutoff fallback;
-//! * recursive products fan out over the `fmm-runtime` work-stealing
-//!   pool (`scope` + per-rank tasks, like the executor's BFS scheme);
-//! * every temporary is carved from a [`Gf2Workspace`] arena whose
-//!   exact word footprint is computed at plan time, so steady-state
-//!   multiplies are zero-alloc;
-//! * leaves and block ops emit `fmm-trace` spans (`Additions`,
-//!   `BaseGemm`, `Combine` — the same kinds the float executor uses, so
-//!   `timeshare`/`trace-check` tooling applies unchanged) and per
-//!   shape-class latency histograms ([`latency_histograms`]).
-//!
-//! Padding: operands are copied once into arena buffers rounded up so
-//! that every recursive split is word-aligned (`k` and `n` to
-//! `64·Π(level k/n)`, `m` to `Π(level m)`); all recursion below that
-//! runs on word-aligned views with zero copies, and depth-0 plans skip
-//! the copy entirely.
+//! * the depth rule: the fixed [`GF2_CUTOFF_BITS`] bit cutoff, or the
+//!   §3.4 rule on a measured M4RM profile ([`Gf2Planner::profile`]);
+//! * the mod-2 lift check (odd → 1, even → 0, fractional →
+//!   [`PlanError::UnrepresentableCoefficient`], the rule of
+//!   [`Gf2::from_coeff`]), so an APA scheme fails at plan time at any
+//!   depth, including depth 0 where the executor never reads it;
+//! * padding `B`'s rows to a multiple of 64 when `k` is not one, in the
+//!   workspace;
+//! * the parallel scheme: Sequential when planned in a one-thread pool,
+//!   BFS above.
 
-use crate::m4rm::{choose_kb, m4rm_acc, scratch_words};
-use crate::matrix::{tail_mask, Gf2Matrix, WORD_BITS};
-use crate::Gf2;
-use fmm_core::{GemmProfile, PlanError};
+use crate::matrix::{Gf2Matrix, WORD_BITS};
+use crate::{Gf2, Gf2Word};
+use fmm_core::{GemmProfile, Plan, PlanError, Planner, Scheme, Workspace};
 use fmm_gemm::classical_flops;
-use fmm_matrix::Scalar;
+use fmm_matrix::{DenseMatrix, Scalar};
 use fmm_tensor::Decomposition;
-use fmm_trace::{now_if, span_end, HistogramRow, HistogramSet, SpanKind};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Fallback recursion cutoff (bits): without a measured profile, take a
@@ -46,55 +35,7 @@ use std::time::Instant;
 /// rival the saved eighth of the M4RM word-ops.
 pub const GF2_CUTOFF_BITS: usize = 1024;
 
-/// One recursion level of a scheme, lifted mod 2: per rank column `r`,
-/// the block indices whose coefficient is odd. `S_r` is the XOR of the
-/// listed A blocks, `T_r` of the listed B blocks, and `M_r` feeds the
-/// listed C blocks — coefficients vanish entirely, which is what makes
-/// GF(2) execution pure word ops.
-#[derive(Debug, Clone)]
-struct Gf2Level {
-    m: usize,
-    k: usize,
-    n: usize,
-    rank: usize,
-    u: Vec<Vec<usize>>,
-    v: Vec<Vec<usize>>,
-    w: Vec<Vec<usize>>,
-}
-
-impl Gf2Level {
-    /// Lift a decomposition mod 2. `Err` carries the first coefficient
-    /// [`Gf2::from_coeff`] rejects (fractional or non-finite).
-    fn lift(dec: &Decomposition) -> Result<Self, f64> {
-        let lift_factor = |mat: &fmm_matrix::Matrix| -> Result<Vec<Vec<usize>>, f64> {
-            (0..dec.rank())
-                .map(|r| {
-                    let mut rows = Vec::new();
-                    for row in 0..mat.rows() {
-                        let c = mat[(row, r)];
-                        match Gf2::from_coeff(c) {
-                            None => return Err(c),
-                            Some(g) if g == Gf2::ONE => rows.push(row),
-                            Some(_) => {}
-                        }
-                    }
-                    Ok(rows)
-                })
-                .collect()
-        };
-        Ok(Gf2Level {
-            m: dec.m,
-            k: dec.k,
-            n: dec.n,
-            rank: dec.rank(),
-            u: lift_factor(&dec.u)?,
-            v: lift_factor(&dec.v)?,
-            w: lift_factor(&dec.w)?,
-        })
-    }
-}
-
-/// Builder for [`Gf2Plan`] — the packed-representation sibling of
+/// Builder for [`Gf2Plan`]: the depth rule and lift check around a
 /// [`fmm_core::Planner`].
 pub struct Gf2Planner {
     shape: Option<(usize, usize, usize)>,
@@ -156,18 +97,23 @@ impl Gf2Planner {
         self
     }
 
-    /// Build the immutable plan: lift the scheme mod 2, choose the
-    /// depth, and precompute padded dims and the exact arena footprint.
+    /// Build the immutable plan: check the mod-2 lift, choose the
+    /// depth, and plan the word-shaped product on the core executor.
+    /// The pool width at plan time picks the scheme.
     pub fn plan(self) -> Result<Gf2Plan, PlanError> {
         let (m, k, n) = self.shape.ok_or(PlanError::MissingShape)?;
         let dec = self.algorithm.unwrap_or_else(fmm_algo::strassen);
         let scheme = format!("<{},{},{}> rank {}", dec.m, dec.k, dec.n, dec.rank());
-        let level =
-            Gf2Level::lift(&dec).map_err(|value| PlanError::UnrepresentableCoefficient {
+        let mut coeffs = [&dec.u, &dec.v, &dec.w]
+            .into_iter()
+            .flat_map(|f| f.as_slice());
+        if let Some(&value) = coeffs.find(|&&c| Gf2::from_coeff(c).is_none()) {
+            return Err(PlanError::UnrepresentableCoefficient {
                 value,
-                scheme: scheme.clone(),
+                scheme,
                 dtype: Gf2::NAME,
-            })?;
+            });
+        }
 
         let min_dim = m.min(k).min(n);
         let shrink = dec.m.max(dec.k).max(dec.n).max(1);
@@ -185,87 +131,43 @@ impl Gf2Planner {
             }
         };
 
-        let levels = vec![level; depth];
-        // Padded dims: every split word-aligned in k and n, exact in m.
-        let (mut mm, mut kk, mut nn) = (1usize, WORD_BITS, WORD_BITS);
-        for lv in &levels {
-            mm *= lv.m;
-            kk *= lv.k;
-            nn *= lv.n;
-        }
-        let round_up = |x: usize, q: usize| x.div_ceil(q.max(1)) * q.max(1);
-        let (pm, pk, pn) = if depth == 0 {
-            (m, k, n)
-        } else {
-            (round_up(m, mm), round_up(k, kk), round_up(n, nn))
-        };
-
-        // Parallel fan-out depth from the pool width at plan time: one
-        // level of rank-way tasks saturates up to rank workers, two
-        // levels up to rank².
-        let width = fmm_runtime::current_num_threads();
-        let rank = levels.first().map_or(1, |l| l.rank);
-        let par_levels = if width <= 1 {
-            0
-        } else if width <= rank {
-            1.min(depth)
-        } else {
-            2.min(depth)
-        };
-
-        let mut workspace_words = rec_words(&levels, 0, par_levels, pm, pk, pn);
-        if depth > 0 {
-            workspace_words += pm * (pk / WORD_BITS) // padded A
-                + pk * (pn / WORD_BITS) // padded B
-                + pm * (pn / WORD_BITS); // padded C
-        }
-
+        let parallel = fmm_runtime::current_num_threads() > 1;
+        let plan = Planner::new()
+            .shape(m, k.div_ceil(WORD_BITS), n.div_ceil(WORD_BITS))
+            .algorithm(&dec)
+            .steps(depth)
+            .scheme(if parallel {
+                Scheme::Bfs
+            } else {
+                Scheme::Sequential
+            })
+            .plan::<Gf2Word>()?;
         Ok(Gf2Plan {
-            m,
-            k,
-            n,
-            pm,
-            pk,
-            pn,
-            levels,
-            par_levels,
-            workspace_words,
+            shape: (m, k, n),
+            plan,
             scheme,
         })
     }
 }
 
-/// An immutable GF(2) multiply plan: lifted levels, padded geometry,
-/// parallel fan-out depth, and the exact arena footprint.
-#[derive(Debug)]
+/// An immutable GF(2) multiply plan: a core plan over words plus the
+/// bit shape, whose `k` decides whether `B` needs padding.
 pub struct Gf2Plan {
-    m: usize,
-    k: usize,
-    n: usize,
-    pm: usize,
-    pk: usize,
-    pn: usize,
-    levels: Vec<Gf2Level>,
-    par_levels: usize,
-    workspace_words: usize,
+    shape: (usize, usize, usize),
+    plan: Plan<Gf2Word>,
     scheme: String,
 }
 
 impl Gf2Plan {
     /// Recursion depth (0 = plain M4RM).
     pub fn depth(&self) -> usize {
-        self.levels.len()
+        self.plan.depth()
     }
 
-    /// Exact arena footprint in words.
+    /// Exact workspace footprint in words: the executor's temporaries
+    /// plus the padded copy of `B` when `k` is not a multiple of 64.
     pub fn workspace_words(&self) -> usize {
-        self.workspace_words
-    }
-
-    /// Levels executed as rank-way parallel fan-outs (the rest run
-    /// sequentially inside their task).
-    pub fn parallel_levels(&self) -> usize {
-        self.par_levels
+        self.plan.workspace_len() + self.padded_b_shape().map_or(0, |(r, c)| r * c)
     }
 
     /// The scheme label, e.g. `"<2,2,2> rank 7"`.
@@ -273,12 +175,19 @@ impl Gf2Plan {
         &self.scheme
     }
 
+    /// Word shape of `B` padded to 64 rows per word of `A`, or `None`
+    /// when `B` already has that many rows.
+    fn padded_b_shape(&self) -> Option<(usize, usize)> {
+        let (_, kw, nw) = self.plan.shape();
+        (kw * WORD_BITS != self.shape.1).then_some((kw * WORD_BITS, nw))
+    }
+
     /// `C = A·B` into a fresh matrix.
     ///
     /// # Panics
     /// Panics when the operand shapes disagree with the planned shape.
     pub fn execute(&self, a: &Gf2Matrix, b: &Gf2Matrix, ws: &mut Gf2Workspace) -> Gf2Matrix {
-        let mut c = Gf2Matrix::zeros(self.m, self.n);
+        let mut c = Gf2Matrix::zeros(self.shape.0, self.shape.2);
         self.execute_into(a, b, &mut c, ws);
         c
     }
@@ -294,349 +203,64 @@ impl Gf2Plan {
         c: &mut Gf2Matrix,
         ws: &mut Gf2Workspace,
     ) {
-        assert_eq!(
-            (a.rows(), a.cols()),
-            (self.m, self.k),
-            "A shape disagrees with plan"
-        );
-        assert_eq!(
-            (b.rows(), b.cols()),
-            (self.k, self.n),
-            "B shape disagrees with plan"
-        );
-        assert_eq!(
-            (c.rows(), c.cols()),
-            (self.m, self.n),
-            "C shape disagrees with plan"
-        );
-        let t_req = fmm_trace::now_ns();
-        let tracing = fmm_trace::enabled();
-        let buf = ws.checkout(self.workspace_words);
-
-        if self.m == 0 || self.n == 0 {
-            return;
-        }
-        if self.depth() == 0 || self.k == 0 {
-            // Direct M4RM on the operands; no padding, no copies.
-            c.words_mut().fill(0);
-            let (m, k) = (self.m, self.k);
-            let (asw, bsw, csw) = (a.stride(), b.stride(), c.stride());
-            let nw = c.stride();
-            if k > 0 {
-                let t0 = now_if(tracing);
-                let kb = choose_kb(m, k);
-                m4rm_acc(
-                    c.words_mut(),
-                    csw,
-                    a.words(),
-                    asw,
-                    b.words(),
-                    bsw,
-                    m,
-                    k,
-                    nw,
-                    kb,
-                    &mut buf[..scratch_words(kb, nw)],
-                    false,
-                );
-                span_end(SpanKind::BaseGemm, t0, (m * k * nw) as u64);
+        let (m, k, n) = self.shape;
+        assert_eq!((a.rows(), a.cols()), (m, k), "A shape disagrees with plan");
+        assert_eq!((b.rows(), b.cols()), (k, n), "B shape disagrees with plan");
+        assert_eq!((c.rows(), c.cols()), (m, n), "C shape disagrees with plan");
+        let Gf2Workspace { core, padded_b } = ws;
+        let b_words = match self.padded_b_shape() {
+            None => b.packed(),
+            Some((rows, cols)) => {
+                if padded_b.shape() != (rows, cols) {
+                    *padded_b = DenseMatrix::zeros(rows, cols);
+                }
+                let dst = padded_b.as_mut_slice();
+                let (head, tail) = dst.split_at_mut(b.words().len());
+                head.copy_from_slice(b.words());
+                tail.fill(Gf2Word::ZERO);
+                padded_b
             }
-        } else {
-            let (pkw, pnw) = (self.pk / WORD_BITS, self.pn / WORD_BITS);
-            let (a_words, b_words, c_words) = (self.pm * pkw, self.pk * pnw, self.pm * pnw);
-            let (abuf, rest) = buf.split_at_mut(a_words);
-            let (bbuf, rest) = rest.split_at_mut(b_words);
-            let (cbuf, arena) = rest.split_at_mut(c_words);
-            copy_in(abuf, pkw, a);
-            copy_in(bbuf, pnw, b);
-            cbuf.fill(0);
-            rec(
-                &self.levels,
-                0,
-                self.par_levels,
-                self.pm,
-                self.pk,
-                self.pn,
-                abuf,
-                pkw,
-                bbuf,
-                pnw,
-                cbuf,
-                pnw,
-                arena,
-                tracing,
-            );
-            copy_out(c, cbuf, pnw);
-        }
-
-        hists().record(
-            &format!(
-                "{}/{}",
-                fmm_core::shape_class(self.m, self.k, self.n),
-                Gf2::NAME
-            ),
-            fmm_trace::now_ns().saturating_sub(t_req),
-        );
+        };
+        self.plan.execute(a.packed(), b_words, c.packed_mut(), core);
     }
 }
 
-/// Reusable word arena for [`Gf2Plan::execute`]: grows monotonically,
-/// so a workspace sized once (e.g. via [`Gf2Workspace::for_plan`])
-/// makes every subsequent execute allocation-free.
-#[derive(Default)]
+/// Reusable arena for [`Gf2Plan::execute`]: the executor's word
+/// workspace plus the padded copy of `B`. Sized once (e.g. via
+/// [`Gf2Workspace::for_plan`]), every further execute of the plan is
+/// allocation-free.
 pub struct Gf2Workspace {
-    buf: Vec<u64>,
+    core: Workspace<Gf2Word>,
+    padded_b: DenseMatrix<Gf2Word>,
+}
+
+impl Default for Gf2Workspace {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Gf2Workspace {
     /// An empty workspace (grows on first use).
     pub fn new() -> Self {
-        Self::default()
+        Gf2Workspace {
+            core: Workspace::new(),
+            padded_b: DenseMatrix::zeros(0, 0),
+        }
     }
 
     /// A workspace pre-sized for `plan`.
     pub fn for_plan(plan: &Gf2Plan) -> Self {
+        let (rows, cols) = plan.padded_b_shape().unwrap_or((0, 0));
         Gf2Workspace {
-            buf: vec![0; plan.workspace_words()],
+            core: Workspace::for_plan(&plan.plan),
+            padded_b: DenseMatrix::zeros(rows, cols),
         }
     }
 
     /// Current capacity in words.
     pub fn capacity_words(&self) -> usize {
-        self.buf.len()
-    }
-
-    fn checkout(&mut self, words: usize) -> &mut [u64] {
-        if self.buf.len() < words {
-            self.buf.resize(words, 0);
-        }
-        &mut self.buf[..words]
-    }
-}
-
-/// Exact arena words for the recursion at `depth` on a (padded)
-/// `mbits × kbits × nbits` problem. Parallel levels hold all `rank`
-/// task chunks live at once; sequential levels reuse one chunk.
-fn rec_words(
-    levels: &[Gf2Level],
-    depth: usize,
-    par_levels: usize,
-    mbits: usize,
-    kbits: usize,
-    nbits: usize,
-) -> usize {
-    if depth == levels.len() {
-        let kb = choose_kb(mbits, kbits.max(1));
-        return scratch_words(kb, nbits.div_ceil(WORD_BITS));
-    }
-    let lv = &levels[depth];
-    let (sm, sk, sn) = (mbits / lv.m, kbits / lv.k, nbits / lv.n);
-    let (skw, snw) = (sk / WORD_BITS, sn / WORD_BITS);
-    let chunk =
-        sm * skw + sk * snw + sm * snw + rec_words(levels, depth + 1, par_levels, sm, sk, sn);
-    if depth < par_levels {
-        lv.rank * chunk
-    } else {
-        chunk
-    }
-}
-
-/// Copy a packed matrix into a zeroed padded buffer (`stride_w` words
-/// per row); padding rows/words stay zero, preserving the zero-tail
-/// invariant blockwise.
-fn copy_in(dst: &mut [u64], stride_w: usize, src: &Gf2Matrix) {
-    dst.fill(0);
-    let sw = src.stride();
-    for i in 0..src.rows() {
-        dst[i * stride_w..i * stride_w + sw].copy_from_slice(src.row_words(i));
-    }
-}
-
-/// Copy the top-left `dst.rows() × dst.cols()` corner of the padded
-/// result out, masking the final word of each row.
-fn copy_out(dst: &mut Gf2Matrix, src: &[u64], stride_w: usize) {
-    let dw = dst.stride();
-    let mask = tail_mask(dst.cols());
-    for i in 0..dst.rows() {
-        let row = dst.row_words_mut(i);
-        row.copy_from_slice(&src[i * stride_w..i * stride_w + dw]);
-        row[dw - 1] &= mask;
-    }
-}
-
-/// XOR-gather the listed blocks of `src` into a contiguous
-/// `sub_rows × sub_w` buffer (the S/T operand formation — the paper's
-/// "additions", which over GF(2) are pure word XORs).
-fn gather_xor(
-    dst: &mut [u64],
-    src: &[u64],
-    src_stride: usize,
-    blocks: &[usize],
-    block_cols: usize,
-    sub_rows: usize,
-    sub_w: usize,
-) {
-    let mut first = true;
-    for &bidx in blocks {
-        let (bi, bj) = (bidx / block_cols, bidx % block_cols);
-        for i in 0..sub_rows {
-            let off = (bi * sub_rows + i) * src_stride + bj * sub_w;
-            let srow = &src[off..off + sub_w];
-            let drow = &mut dst[i * sub_w..(i + 1) * sub_w];
-            if first {
-                drow.copy_from_slice(srow);
-            } else {
-                for (d, &s) in drow.iter_mut().zip(srow) {
-                    *d ^= s;
-                }
-            }
-        }
-        first = false;
-    }
-}
-
-/// XOR a contiguous `rows × w` buffer into block `(bi, bj)` of `dst`.
-fn scatter_xor(
-    dst: &mut [u64],
-    dst_stride: usize,
-    bi: usize,
-    bj: usize,
-    src: &[u64],
-    rows: usize,
-    w: usize,
-) {
-    for i in 0..rows {
-        let off = (bi * rows + i) * dst_stride + bj * w;
-        for (d, &s) in dst[off..off + w].iter_mut().zip(&src[i * w..(i + 1) * w]) {
-            *d ^= s;
-        }
-    }
-}
-
-/// The recursion: `C ^= A·B` on word-aligned views.
-#[allow(clippy::too_many_arguments)]
-fn rec(
-    levels: &[Gf2Level],
-    depth: usize,
-    par_levels: usize,
-    mbits: usize,
-    kbits: usize,
-    nbits: usize,
-    a: &[u64],
-    asw: usize,
-    b: &[u64],
-    bsw: usize,
-    c: &mut [u64],
-    csw: usize,
-    arena: &mut [u64],
-    tracing: bool,
-) {
-    let nw = nbits.div_ceil(WORD_BITS);
-    if depth == levels.len() {
-        let t0 = now_if(tracing);
-        let kb = choose_kb(mbits, kbits);
-        m4rm_acc(
-            c,
-            csw,
-            a,
-            asw,
-            b,
-            bsw,
-            mbits,
-            kbits,
-            nw,
-            kb,
-            &mut arena[..scratch_words(kb, nw)],
-            false,
-        );
-        span_end(SpanKind::BaseGemm, t0, (mbits * kbits * nw) as u64);
-        return;
-    }
-
-    let lv = &levels[depth];
-    let (sm, sk, sn) = (mbits / lv.m, kbits / lv.k, nbits / lv.n);
-    let (skw, snw) = (sk / WORD_BITS, sn / WORD_BITS);
-    let (s_w, t_w, m_w) = (sm * skw, sk * snw, sm * snw);
-    let chunk_words = s_w + t_w + m_w + rec_words(levels, depth + 1, par_levels, sm, sk, sn);
-
-    // One rank product into its chunk: S_r = ⊕ A-blocks, T_r = ⊕
-    // B-blocks, M_r = S_r·T_r (recursive). A rank with an empty operand
-    // side contributes nothing; its M buffer is zeroed so the combine
-    // stays uniform.
-    let run_rank = |r: usize, chunk: &mut [u64]| {
-        let (sbuf, rest) = chunk.split_at_mut(s_w);
-        let (tbuf, rest) = rest.split_at_mut(t_w);
-        let (mbuf, child) = rest.split_at_mut(m_w);
-        mbuf.fill(0);
-        if lv.u[r].is_empty() || lv.v[r].is_empty() {
-            return;
-        }
-        let t0 = now_if(tracing);
-        gather_xor(sbuf, a, asw, &lv.u[r], lv.k, sm, skw);
-        gather_xor(tbuf, b, bsw, &lv.v[r], lv.n, sk, snw);
-        span_end(
-            SpanKind::Additions,
-            t0,
-            ((lv.u[r].len() * s_w) + (lv.v[r].len() * t_w)) as u64,
-        );
-        rec(
-            levels,
-            depth + 1,
-            par_levels,
-            sm,
-            sk,
-            sn,
-            sbuf,
-            skw,
-            tbuf,
-            snw,
-            mbuf,
-            snw,
-            child,
-            tracing,
-        );
-    };
-
-    if depth < par_levels {
-        // BFS fan-out: all rank chunks live at once, one task each on
-        // the work-stealing pool.
-        {
-            let mut rest = &mut arena[..lv.rank * chunk_words];
-            let mut tasks: Vec<(usize, &mut [u64])> = Vec::with_capacity(lv.rank);
-            for r in 0..lv.rank {
-                let (chunk, tail) = rest.split_at_mut(chunk_words);
-                rest = tail;
-                tasks.push((r, chunk));
-            }
-            let run_rank = &run_rank;
-            fmm_runtime::scope(|s| {
-                for (r, chunk) in tasks {
-                    s.spawn(move |_| run_rank(r, chunk));
-                }
-            });
-        }
-        // Combine: M_r feeds every odd-coefficient output block.
-        let t0 = now_if(tracing);
-        for r in 0..lv.rank {
-            let moff = r * chunk_words + s_w + t_w;
-            let mbuf = &arena[moff..moff + m_w];
-            for &out in &lv.w[r] {
-                scatter_xor(c, csw, out / lv.n, out % lv.n, mbuf, sm, snw);
-            }
-        }
-        span_end(SpanKind::Combine, t0, (lv.rank * m_w) as u64);
-    } else {
-        // Sequential: one chunk reused across ranks, combine as we go.
-        let chunk = &mut arena[..chunk_words];
-        for r in 0..lv.rank {
-            run_rank(r, chunk);
-            let t0 = now_if(tracing);
-            let mbuf = &chunk[s_w + t_w..s_w + t_w + m_w];
-            for &out in &lv.w[r] {
-                scatter_xor(c, csw, out / lv.n, out % lv.n, mbuf, sm, snw);
-            }
-            span_end(SpanKind::Combine, t0, (lv.w[r].len() * m_w) as u64);
-        }
+        self.core.len() + self.padded_b.as_slice().len()
     }
 }
 
@@ -666,22 +290,10 @@ pub fn measure_m4rm_profile(sizes: &[usize]) -> GemmProfile {
     GemmProfile::from_samples(samples)
 }
 
-static HISTS: OnceLock<HistogramSet> = OnceLock::new();
-
-fn hists() -> &'static HistogramSet {
-    HISTS.get_or_init(HistogramSet::new)
-}
-
-/// Snapshot of the per shape-class GF(2) execute-latency histograms
-/// (labels `"<shape-class>/gf2"`, values in nanoseconds) — the same
-/// log-bucketed rows `FmmEngine` records for the float dtypes.
-pub fn latency_histograms() -> Vec<HistogramRow> {
-    hists().snapshot()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fmm_trace::SpanKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -719,6 +331,50 @@ mod tests {
         check_plan(1, 1, 1, 1, 6);
         check_plan(65, 3, 127, 2, 7);
         check_plan(7, 300, 5, 1, 8);
+        // Empty dimensions reach the executor's empty-core leaf.
+        check_plan(5, 0, 70, 1, 9);
+        check_plan(0, 70, 5, 1, 10);
+        check_plan(70, 5, 0, 2, 11);
+    }
+
+    #[test]
+    fn integer_catalog_schemes_recurse_in_word_units() {
+        // Two levels of every scheme that lifts mod 2, on shapes with
+        // enough words to split twice and ragged in bits and in words,
+        // planned sequentially and with BFS fan-out.
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut checked = 0;
+        for (name, text) in fmm_algo::embedded_files() {
+            let Ok(dec) = fmm_algo::parse(text) else {
+                continue;
+            };
+            let lifted = |planner: Gf2Planner| planner.algorithm(&dec).steps(2).plan();
+            if lifted(Gf2Planner::new().shape(1, 1, 1)).is_err() {
+                continue;
+            }
+            let (m, k, n) = (
+                dec.m * dec.m * 3 + 1,
+                (dec.k * dec.k + 1) * WORD_BITS - 5,
+                (dec.n * dec.n + 1) * WORD_BITS - 9,
+            );
+            let a = Gf2Matrix::random(m, k, &mut rng);
+            let b = Gf2Matrix::random(k, n, &mut rng);
+            let want = a.mul_naive(&b);
+            for width in [1, 2] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(width)
+                    .build()
+                    .unwrap();
+                let plan = pool
+                    .install(|| lifted(Gf2Planner::new().shape(m, k, n)))
+                    .unwrap();
+                let mut ws = Gf2Workspace::for_plan(&plan);
+                let got = pool.install(|| plan.execute(&a, &b, &mut ws));
+                assert_eq!(got, want, "{name} at width {width}");
+            }
+            checked += 1;
+        }
+        assert!(checked > 0, "no integer scheme in the catalog");
     }
 
     #[test]
@@ -771,39 +427,43 @@ mod tests {
 
     #[test]
     fn apa_scheme_fails_with_named_scheme_and_coefficient() {
-        // Satellite: planning an APA scheme over GF(2) must name the
-        // offending coefficient and the scheme in the Display output.
+        // Planning an APA scheme over GF(2) must name the offending
+        // coefficient and the scheme in the Display output, at any
+        // depth.
         let bini = fmm_algo::by_name("bini").expect("bini is in the catalog");
-        let err = Gf2Planner::new()
-            .shape(512, 512, 512)
-            .algorithm(&bini.dec)
-            .steps(1)
-            .plan()
-            .unwrap_err();
-        let PlanError::UnrepresentableCoefficient {
-            value,
-            ref scheme,
-            dtype,
-        } = err
-        else {
-            panic!("expected UnrepresentableCoefficient, got {err:?}");
-        };
-        assert!(
-            value.fract() != 0.0,
-            "offender should be fractional: {value}"
-        );
-        assert_eq!(dtype, "gf2");
-        assert!(scheme.contains("<3,2,2>"), "scheme label: {scheme}");
-        let msg = err.to_string();
-        assert!(msg.contains("<3,2,2>"), "message names the scheme: {msg}");
-        assert!(msg.contains("gf2"), "message names the dtype: {msg}");
+        for steps in [0, 1] {
+            let err = Gf2Planner::new()
+                .shape(512, 512, 512)
+                .algorithm(&bini.dec)
+                .steps(steps)
+                .plan()
+                .err()
+                .expect("an APA scheme must not plan over gf2");
+            let PlanError::UnrepresentableCoefficient {
+                value,
+                ref scheme,
+                dtype,
+            } = err
+            else {
+                panic!("expected UnrepresentableCoefficient, got {err:?}");
+            };
+            assert!(
+                value.fract() != 0.0,
+                "offender should be fractional: {value}"
+            );
+            assert_eq!(dtype, "gf2");
+            assert!(scheme.contains("<3,2,2>"), "scheme label: {scheme}");
+            let msg = err.to_string();
+            assert!(msg.contains("<3,2,2>"), "message names the scheme: {msg}");
+            assert!(msg.contains("gf2"), "message names the dtype: {msg}");
+        }
     }
 
     #[test]
     fn float_planner_error_matches_over_gf2_elementwise_path() {
         // The generic DenseMatrix<Gf2> path through fmm_core::Planner
-        // hits the same seam (Scalar::from_coeff) and now names the
-        // scheme too.
+        // hits the same seam (Scalar::from_coeff) and names the scheme
+        // too.
         let bini = fmm_algo::by_name("bini").expect("bini is in the catalog");
         let result = fmm_core::Planner::new()
             .shape(12, 8, 8)
@@ -820,35 +480,20 @@ mod tests {
     }
 
     #[test]
-    fn strassen_lift_drops_even_and_keeps_odd() {
-        let lv = Gf2Level::lift(&fmm_algo::strassen()).unwrap();
-        assert_eq!((lv.m, lv.k, lv.n, lv.rank), (2, 2, 2, 7));
-        // Strassen's U/V/W are ±1/0: every nonzero survives the lift.
-        let dec = fmm_algo::strassen();
-        for r in 0..7 {
-            let nnz_u = (0..4).filter(|&i| dec.u[(i, r)] != 0.0).count();
-            assert_eq!(lv.u[r].len(), nnz_u);
-        }
-        // A doubled coefficient would drop: check via a crafted scheme.
-        let mut dec2 = fmm_algo::strassen();
-        dec2.u[(0, 0)] = 2.0;
-        let lv2 = Gf2Level::lift(&dec2).unwrap();
-        assert!(!lv2.u[0].contains(&0), "even coefficient must drop");
-    }
-
-    #[test]
-    fn histograms_accumulate_per_shape_class() {
-        let plan = Gf2Planner::new().shape(96, 96, 96).steps(0).plan().unwrap();
-        let mut ws = Gf2Workspace::for_plan(&plan);
-        let a = Gf2Matrix::identity(96);
-        let b = Gf2Matrix::identity(96);
-        let _ = plan.execute(&a, &b, &mut ws);
-        let rows = latency_histograms();
-        assert!(
-            rows.iter().any(|r| r.label.ends_with("/gf2")),
-            "expected a /gf2 histogram row, got {:?}",
-            rows.iter().map(|r| r.label.clone()).collect::<Vec<_>>()
-        );
+    fn plan_scheme_follows_the_pool_width() {
+        let width = |threads| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| Gf2Planner::new().shape(256, 256, 256).steps(1).plan())
+                .unwrap()
+                .plan
+                .options()
+                .scheme
+        };
+        assert_eq!(width(1), Scheme::Sequential);
+        assert_eq!(width(2), Scheme::Bfs);
     }
 
     #[test]

@@ -83,6 +83,7 @@ proptest! {
         n in 1usize..40,
         seed in 0u64..1000,
         pick in 0usize..64,
+        steps in 1usize..3,
     ) {
         let integer: Vec<_> = fmm_algo::embedded_files()
             .iter()
@@ -106,7 +107,7 @@ proptest! {
         let plan = Gf2Planner::new()
             .shape(m, k, n)
             .algorithm(dec)
-            .steps(1)
+            .steps(steps)
             .plan()
             .expect("integer scheme must lift mod 2");
         let mut ws = Gf2Workspace::for_plan(&plan);

@@ -633,6 +633,10 @@ impl SendPtr {
     }
 }
 
+/// Why locking a scope's `done_mutex` cannot fail: no code panics while
+/// holding it, so it is never poisoned.
+const DONE_MUTEX: &str = "scope done_mutex is never held across a panic";
+
 /// Structured task scope handed to [`scope`] closures: every task
 /// spawned through it completes before `scope` returns, so tasks may
 /// borrow from the enclosing environment (`'scope`).
@@ -702,9 +706,12 @@ impl<'scope> Scope<'scope> {
         }
     }
 
+    /// Retire one task. The decrement happens under `done_mutex`, so a
+    /// waiter that reads `pending == 0` and then takes the mutex knows
+    /// this call has released its last touch of the scope.
     fn task_done(&self) {
+        let _guard = self.done_mutex.lock().expect(DONE_MUTEX);
         if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let _guard = self.done_mutex.lock().unwrap();
             self.done_cond.notify_all();
         }
     }
@@ -731,15 +738,14 @@ impl<'scope> Scope<'scope> {
                         std::thread::yield_now();
                     }
                 }
+                // The last `task_done` may still hold the mutex; wait it
+                // out before the caller frees the scope.
+                drop(self.done_mutex.lock().expect(DONE_MUTEX));
             }
             None => {
-                let mut guard = self.done_mutex.lock().unwrap();
+                let mut guard = self.done_mutex.lock().expect(DONE_MUTEX);
                 while self.pending.load(Ordering::SeqCst) > 0 {
-                    let (g, _) = self
-                        .done_cond
-                        .wait_timeout(guard, Duration::from_millis(10))
-                        .unwrap();
-                    guard = g;
+                    guard = self.done_cond.wait(guard).expect(DONE_MUTEX);
                 }
             }
         }

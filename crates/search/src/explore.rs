@@ -13,7 +13,7 @@
 //!   ([`IntScheme::canonical_hash`]) is undone and re-drawn (up to a
 //!   small cap, so a fully explored neighborhood cannot livelock the
 //!   walk);
-//! * after `kick_after` steps without a rank drop, a random [`split`]
+//! * after `kick_after` steps without a rank drop, a random [`crate::flip::split`]
 //!   (rank +1) kicks the walk out of its current flip component,
 //!   bounded by `headroom` above the attempt's best rank;
 //! * after `restart_after` steps without improving the attempt's best

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example custom_algorithm`
 
-use fast_matmul::core::{FastMul, Options};
+use fast_matmul::core::{Planner, Workspace};
 use fast_matmul::gemm;
 use fast_matmul::matrix::{relative_error, Matrix};
 use fast_matmul::tensor::compose::{direct_sum_n, kron_compose};
@@ -66,14 +66,14 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(3);
     let a = Matrix::random(p, q, &mut rng);
     let b = Matrix::random(q, r, &mut rng);
-    let fm = FastMul::new(
-        &a223,
-        Options {
-            steps: 2,
-            ..Options::default()
-        },
-    );
-    let c = fm.multiply(&a, &b);
+    let plan = Planner::new()
+        .shape(p, q, r)
+        .algorithm(&a223)
+        .steps(2)
+        .plan()
+        .expect("an exact f64 scheme always plans");
+    let mut c = Matrix::zeros(p, r);
+    plan.execute(&a, &b, &mut c, &mut Workspace::new());
     let c_ref = gemm::matmul(&a, &b);
     let err = relative_error(&c.as_ref(), &c_ref.as_ref());
     println!("⟨2,2,3⟩ on {p}×{q}×{r} (dynamic peeling): relative error {err:.2e}");

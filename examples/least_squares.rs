@@ -17,7 +17,7 @@
 //! Run with: `cargo run --release --example least_squares`
 
 use fast_matmul::algo;
-use fast_matmul::core::{effective_gflops, FastMul, Options};
+use fast_matmul::core::{effective_gflops, Planner, Workspace};
 use fast_matmul::matrix::Matrix;
 use fast_matmul::tensor::linalg::cholesky_solve;
 use rand::rngs::StdRng;
@@ -38,16 +38,16 @@ fn main() {
     // Gram matrix G = Xᵀ·X: a d × n × d outer-product-shaped multiply.
     let xt = x.transpose();
     let gram_alg = algo::by_name("<4,2,4>").expect("catalog");
-    let fm = FastMul::new(
-        &gram_alg.dec,
-        Options {
-            steps: 2,
-            ..Options::default()
-        },
-    );
+    let plan = Planner::new()
+        .shape(d, n, d)
+        .algorithm(&gram_alg.dec)
+        .steps(2)
+        .plan()
+        .expect("plan");
+    let (mut g_fast, mut ws) = (Matrix::zeros(d, d), Workspace::for_plan(&plan));
 
     let t0 = Instant::now();
-    let g_fast = fm.multiply(&xt, &x);
+    plan.execute(&xt, &x, &mut g_fast, &mut ws);
     let fast_secs = t0.elapsed().as_secs_f64();
 
     let t0 = Instant::now();

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example parallel_schemes`
 
 use fast_matmul::algo;
-use fast_matmul::core::{effective_gflops, FastMul, Options, Scheme};
+use fast_matmul::core::{effective_gflops, Planner, Scheme, Workspace};
 use fast_matmul::matrix::{relative_error, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,16 +37,16 @@ fn main() {
         ("BFS", Scheme::Bfs),
         ("HYBRID", Scheme::Hybrid),
     ] {
-        let fm = FastMul::new(
-            &strassen.dec,
-            Options {
-                steps: 2,
-                scheme,
-                ..Options::default()
-            },
-        );
+        let plan = Planner::new()
+            .shape(n, n, n)
+            .algorithm(&strassen.dec)
+            .steps(2)
+            .scheme(scheme)
+            .plan()
+            .unwrap();
+        let (mut c, mut ws) = (Matrix::zeros(n, n), Workspace::for_plan(&plan));
         let t0 = Instant::now();
-        let c = pool.install(|| fm.multiply(&a, &b));
+        pool.install(|| plan.execute(&a, &b, &mut c, &mut ws));
         let secs = t0.elapsed().as_secs_f64();
         let err = relative_error(&c.as_ref(), &c_ref.as_ref());
         assert!(err < 1e-10, "{name}: wrong result (err {err:.1e})");

@@ -56,8 +56,9 @@
 //!     .unwrap();
 //! ```
 //!
-//! [`core::FastMul`] remains the low-level shape-agnostic path (it
-//! sizes and allocates one workspace per call) for one-shot multiplies.
+//! A one-shot multiply plans and executes once: there is one front
+//! door and one recursion for every element type, the packed GF(2)
+//! words of [`gf2`] included.
 //!
 //! # Element types
 //!
@@ -130,6 +131,6 @@ pub use fmm_trace as trace;
 pub use fmm_verify as verify;
 
 pub use fmm_core::{
-    EngineBuilder, EngineError, EngineStats, FastMul, FmmEngine, GemmProfile, MultiplyHandle,
-    Options, Plan, PlanCertificate, PlanError, Planner, Workspace,
+    EngineBuilder, EngineError, EngineStats, FmmEngine, GemmProfile, MultiplyHandle, Options, Plan,
+    PlanCertificate, PlanError, Planner, Workspace,
 };

@@ -13,15 +13,7 @@ fn exact_algorithms_have_tiny_forward_error() {
     for name in ["strassen", "winograd", "<3,3,3>", "<4,2,4>", "<4,3,3>"] {
         let alg = algo::by_name(name).unwrap();
         for steps in 1..=2usize {
-            let e = forward_error(
-                &alg.dec,
-                Options {
-                    steps,
-                    ..Options::default()
-                },
-                192,
-                11,
-            );
+            let e = forward_error(&alg.dec, steps, Options::default(), 192, 11);
             assert!(e < 1e-11, "{name} at {steps} steps: error {e:.2e}");
         }
     }
@@ -32,16 +24,7 @@ fn error_grows_with_recursion_depth_but_stays_bounded() {
     let strassen = algo::by_name("strassen").unwrap();
     let mut last = 0.0;
     for steps in 1..=4usize {
-        let e = max_rel_error_vs_classical(
-            &strassen.dec,
-            Options {
-                steps,
-                ..Options::default()
-            },
-            256,
-            2,
-            5,
-        );
+        let e = max_rel_error_vs_classical(&strassen.dec, steps, Options::default(), 256, 2, 5);
         assert!(e < 1e-10, "steps {steps}: error {e:.2e}");
         // not strictly monotone run-to-run, but 4 steps must not be
         // orders of magnitude better than 1 step (sanity of the metric)
@@ -58,8 +41,8 @@ fn apa_error_is_many_orders_above_exact() {
     };
     let strassen = algo::by_name("strassen").unwrap();
     let opts = Options::default();
-    let e_apa = forward_error(&bini.dec, opts, 96, 3);
-    let e_exact = forward_error(&strassen.dec, opts, 96, 3);
+    let e_apa = forward_error(&bini.dec, 1, opts, 96, 3);
+    let e_exact = forward_error(&strassen.dec, 1, opts, 96, 3);
     assert!(
         e_apa > 1e4 * e_exact,
         "APA error {e_apa:.2e} should dwarf exact error {e_exact:.2e}"
@@ -79,12 +62,9 @@ fn diagonal_scaling_is_stability_neutral() {
     let dz: Vec<f64> = dx.iter().map(|x| 1.0 / x).collect();
     let scaled = scale_columns(&strassen, &dx, &dy, &dz);
     scaled.verify(1e-3).expect("still algebraically exact");
-    let opts = Options {
-        steps: 2,
-        ..Options::default()
-    };
-    let e_plain = forward_error(&strassen, opts, 128, 9);
-    let e_scaled = forward_error(&scaled, opts, 128, 9);
+    let opts = Options::default();
+    let e_plain = forward_error(&strassen, 2, opts, 128, 9);
+    let e_scaled = forward_error(&scaled, 2, opts, 128, 9);
     assert!(
         e_scaled < 100.0 * e_plain.max(1e-16),
         "column scaling must not change relative error materially: {e_scaled:.2e} vs {e_plain:.2e}"
@@ -104,12 +84,9 @@ fn ill_conditioned_sandwich_transform_loses_accuracy() {
     let x = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0 + delta]]);
     let i2 = Matrix::identity(2);
     let twisted = sandwich(&strassen, &x, &i2, &i2).expect("nonsingular");
-    let opts = Options {
-        steps: 2,
-        ..Options::default()
-    };
-    let e_plain = forward_error(&strassen, opts, 128, 9);
-    let e_twisted = forward_error(&twisted, opts, 128, 9);
+    let opts = Options::default();
+    let e_plain = forward_error(&strassen, 2, opts, 128, 9);
+    let e_twisted = forward_error(&twisted, 2, opts, 128, 9);
     assert!(
         e_twisted > 1e3 * e_plain.max(1e-16),
         "ill-conditioned equivalent should visibly hurt accuracy: {e_twisted:.2e} vs {e_plain:.2e}"
@@ -119,14 +96,6 @@ fn ill_conditioned_sandwich_transform_loses_accuracy() {
 #[test]
 fn classical_decomposition_error_matches_gemm_roundoff() {
     let c = algo::classical(2, 2, 2);
-    let e = forward_error(
-        &c.dec,
-        Options {
-            steps: 2,
-            ..Options::default()
-        },
-        128,
-        13,
-    );
+    let e = forward_error(&c.dec, 2, Options::default(), 128, 13);
     assert!(e < 1e-13, "classical recursion error {e:.2e}");
 }

@@ -35,12 +35,9 @@ fn f32_strassen_error_stays_a_modest_factor_above_classical() {
     let strassen = algo::strassen();
     let classical = algo::classical(2, 2, 2);
     for steps in 1..=3usize {
-        let opts = Options {
-            steps,
-            ..Options::default()
-        };
-        let e_fast = forward_error_in::<f32>(&strassen, opts, 192, 11);
-        let e_classical = forward_error_in::<f32>(&classical.dec, opts, 192, 11);
+        let opts = Options::default();
+        let e_fast = forward_error_in::<f32>(&strassen, steps, opts, 192, 11);
+        let e_classical = forward_error_in::<f32>(&classical.dec, steps, opts, 192, 11);
         // Classical round-off is a small multiple of the element
         // type's machine epsilon (growing ~√n); Strassen amplifies but
         // must stay within a few orders of magnitude, and both must
@@ -68,12 +65,9 @@ fn f32_strassen_error_stays_a_modest_factor_above_classical() {
 #[test]
 fn f32_error_scale_sits_orders_above_f64() {
     let strassen = algo::strassen();
-    let opts = Options {
-        steps: 2,
-        ..Options::default()
-    };
-    let e32 = forward_error_in::<f32>(&strassen, opts, 128, 7);
-    let e64 = forward_error_in::<f64>(&strassen, opts, 128, 7);
+    let opts = Options::default();
+    let e32 = forward_error_in::<f32>(&strassen, 2, opts, 128, 7);
+    let e64 = forward_error_in::<f64>(&strassen, 2, opts, 128, 7);
     assert!(
         e32 > 1e4 * e64.max(1e-18),
         "f32 error {e32:.2e} should dwarf f64 error {e64:.2e}"

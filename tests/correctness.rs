@@ -3,8 +3,11 @@
 //! reference multiplication, including on dimensions that force
 //! dynamic peeling at every level.
 
+mod common;
+
+use common::multiply;
 use fast_matmul::algo;
-use fast_matmul::core::{AdditionMethod, FastMul, Options, Scheme};
+use fast_matmul::core::{AdditionMethod, Options, Scheme};
 use fast_matmul::matrix::{max_abs_diff, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,9 +20,8 @@ fn reference(a: &Matrix, b: &Matrix) -> Matrix {
 
 fn check(
     dec: &fast_matmul::tensor::Decomposition,
-    p: usize,
-    q: usize,
-    r: usize,
+    (p, q, r): (usize, usize, usize),
+    steps: usize,
     opts: Options,
     seed: u64,
 ) {
@@ -27,11 +29,11 @@ fn check(
     let a = Matrix::random(p, q, &mut rng);
     let b = Matrix::random(q, r, &mut rng);
     let want = reference(&a, &b);
-    let got = FastMul::new(dec, opts).multiply(&a, &b);
+    let got = multiply(dec, steps, opts, &a, &b);
     let d = max_abs_diff(&want.as_ref(), &got.as_ref()).unwrap();
     assert!(
         d < 1e-9 * q as f64,
-        "mismatch {d:.3e} at {p}x{q}x{r} with {opts:?}"
+        "mismatch {d:.3e} at {p}x{q}x{r}, {steps} steps with {opts:?}"
     );
 }
 
@@ -46,13 +48,9 @@ fn every_catalog_algorithm_multiplies_correctly() {
         for steps in [1usize, 2] {
             check(
                 &alg.dec,
-                p,
-                q,
-                r,
-                Options {
-                    steps,
-                    ..Options::default()
-                },
+                (p, q, r),
+                steps,
+                Options::default(),
                 1000 + steps as u64,
             );
         }
@@ -69,20 +67,13 @@ fn strategy_matrix_full_cross_product() {
     ] {
         for cse in [false, true] {
             for scheme in [Scheme::Sequential, Scheme::Dfs, Scheme::Bfs, Scheme::Hybrid] {
-                check(
-                    &strassen,
-                    101,
-                    67,
-                    89,
-                    Options {
-                        steps: 2,
-                        additions,
-                        cse,
-                        scheme,
-                        ..Options::default()
-                    },
-                    7,
-                );
+                let opts = Options {
+                    additions,
+                    cse,
+                    scheme,
+                    ..Options::default()
+                };
+                check(&strassen, (101, 67, 89), 2, opts, 7);
             }
         }
     }
@@ -98,24 +89,19 @@ fn cse_on_catalog_algorithms_changes_nothing() {
         let (p, q, r) = (m * 20, k * 20, n * 20);
         let a = Matrix::random(p, q, &mut rng);
         let b = Matrix::random(q, r, &mut rng);
-        let plain = FastMul::new(
-            &alg.dec,
-            Options {
-                steps: 1,
-                cse: false,
-                ..Options::default()
-            },
-        )
-        .multiply(&a, &b);
-        let with_cse = FastMul::new(
-            &alg.dec,
-            Options {
-                steps: 1,
-                cse: true,
-                ..Options::default()
-            },
-        )
-        .multiply(&a, &b);
+        let with = |cse| {
+            multiply(
+                &alg.dec,
+                1,
+                Options {
+                    cse,
+                    ..Options::default()
+                },
+                &a,
+                &b,
+            )
+        };
+        let (plain, with_cse) = (with(false), with(true));
         let d = max_abs_diff(&plain.as_ref(), &with_cse.as_ref()).unwrap();
         assert!(d < 1e-10, "{name}: CSE changed the result by {d:.2e}");
     }
@@ -124,43 +110,23 @@ fn cse_on_catalog_algorithms_changes_nothing() {
 #[test]
 fn deep_recursion_on_divisible_sizes() {
     let strassen = algo::by_name("strassen").unwrap().dec;
-    check(
-        &strassen,
-        256,
-        256,
-        256,
-        Options {
-            steps: 5,
-            ..Options::default()
-        },
-        13,
-    );
+    check(&strassen, (256, 256, 256), 5, Options::default(), 13);
 }
 
 #[test]
 fn extreme_aspect_ratios() {
     let a424 = algo::by_name("<4,2,4>").unwrap().dec;
-    check(&a424, 400, 16, 400, Options::default(), 17); // outer product
+    check(&a424, (400, 16, 400), 1, Options::default(), 17); // outer product
     let a433 = algo::by_name("<4,3,3>").unwrap().dec;
-    check(&a433, 500, 27, 27, Options::default(), 19); // tall and skinny
+    check(&a433, (500, 27, 27), 1, Options::default(), 19); // tall and skinny
     let strassen = algo::by_name("strassen").unwrap().dec;
-    check(&strassen, 8, 512, 8, Options::default(), 23); // inner product shape
+    check(&strassen, (8, 512, 8), 1, Options::default(), 23); // inner product shape
 }
 
 #[test]
 fn one_dimensional_degenerate_cases() {
     let strassen = algo::by_name("strassen").unwrap().dec;
     for (p, q, r) in [(1, 64, 64), (64, 1, 64), (64, 64, 1), (1, 1, 1)] {
-        check(
-            &strassen,
-            p,
-            q,
-            r,
-            Options {
-                steps: 2,
-                ..Options::default()
-            },
-            29,
-        );
+        check(&strassen, (p, q, r), 2, Options::default(), 29);
     }
 }

@@ -4,8 +4,10 @@
 //! excepted — they are exact only in the λ → 0 limit), and multiply a
 //! random matrix to the `tests/correctness.rs` tolerance.
 
+mod common;
+
 use fast_matmul::algo;
-use fast_matmul::core::{FastMul, Options};
+use fast_matmul::core::Options;
 use fast_matmul::matrix::{max_abs_diff, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -64,14 +66,7 @@ fn every_exact_embedded_file_satisfies_brent_and_multiplies() {
             let b = Matrix::random(q, r, &mut rng);
             let mut want = Matrix::zeros(p, r);
             fast_matmul::gemm::naive_gemm(1.0, a.as_ref(), b.as_ref(), 0.0, want.as_mut());
-            let got = FastMul::new(
-                &dec,
-                Options {
-                    steps: 1,
-                    ..Options::default()
-                },
-            )
-            .multiply(&a, &b);
+            let got = common::multiply(&dec, 1, Options::default(), &a, &b);
             let d = max_abs_diff(&want.as_ref(), &got.as_ref()).unwrap();
             assert!(d < 1e-9 * q as f64, "{name} on {p}x{q}x{r}: diff {d}");
         }

@@ -8,6 +8,8 @@ use fast_matmul::matrix::{max_abs_diff, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+mod common;
+
 mod generated {
     include!("generated/strassen_gen.rs");
 }
@@ -46,17 +48,10 @@ fn generated_source_is_current() {
 #[test]
 fn generated_strassen_agrees_with_executor() {
     let strassen = fast_matmul::algo::strassen();
-    let fm = fast_matmul::core::FastMul::new(
-        &strassen,
-        fast_matmul::core::Options {
-            steps: 2,
-            ..Default::default()
-        },
-    );
     let mut rng = StdRng::seed_from_u64(2);
     let a = Matrix::random(90, 110, &mut rng);
     let b = Matrix::random(110, 70, &mut rng);
-    let via_executor = fm.multiply(&a, &b);
+    let via_executor = common::multiply(&strassen, 2, Default::default(), &a, &b);
     let mut via_generated = Matrix::zeros(90, 70);
     generated::strassen_generated(a.as_ref(), b.as_ref(), via_generated.as_mut(), 2);
     let d = max_abs_diff(&via_executor.as_ref(), &via_generated.as_ref()).unwrap();

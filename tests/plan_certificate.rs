@@ -13,12 +13,17 @@ use rand::SeedableRng;
 use fast_matmul::core::Scheme;
 
 /// Plan, execute, and assert the certificate predicted the run exactly.
-fn check(dec: &fast_matmul::tensor::Decomposition, shape: (usize, usize, usize), opts: Options) {
+fn check(
+    dec: &fast_matmul::tensor::Decomposition,
+    shape: (usize, usize, usize),
+    steps: usize,
+    opts: Options,
+) {
     let (m, k, n) = shape;
     let plan = Planner::new()
         .shape(m, k, n)
         .algorithm(dec)
-        .steps(opts.steps)
+        .steps(steps)
         .options(opts)
         .plan::<f64>()
         .unwrap();
@@ -58,12 +63,11 @@ fn certificate_predicts_execution_across_schemes_and_borders() {
         for border in [BorderHandling::DynamicPeeling, BorderHandling::Padding] {
             for shape in [(64, 64, 64), (65, 63, 61), (37, 41, 29)] {
                 let opts = Options {
-                    steps: 2,
                     scheme,
                     border,
                     ..Options::default()
                 };
-                check(&strassen, shape, opts);
+                check(&strassen, shape, 2, opts);
             }
         }
     }
@@ -74,11 +78,7 @@ fn certificate_matches_rectangular_bases() {
     for name in ["<4,2,4>", "<3,3,3>", "<4,4,2>"] {
         let alg = algo::by_name(name).unwrap();
         for shape in [(48, 48, 48), (50, 49, 47)] {
-            let opts = Options {
-                steps: 1,
-                ..Options::default()
-            };
-            check(&alg.dec, shape, opts);
+            check(&alg.dec, shape, 1, Options::default());
         }
     }
 }

@@ -2,8 +2,11 @@
 //! strategies and algorithms must always reproduce the classical
 //! product; transformation laws must preserve exactness.
 
+mod common;
+
+use common::multiply;
 use fast_matmul::algo;
-use fast_matmul::core::{AdditionMethod, FastMul, Options, Scheme};
+use fast_matmul::core::{AdditionMethod, Options, Scheme};
 use fast_matmul::matrix::{max_abs_diff, Matrix};
 use fast_matmul::tensor::compose::{classical, direct_sum_n, kron_compose};
 use fast_matmul::tensor::transform::{permute_to, scale_columns};
@@ -39,8 +42,7 @@ proptest! {
         let a = Matrix::random(p, q, &mut rng);
         let b = Matrix::random(q, r, &mut rng);
         let want = reference(&a, &b);
-        let got = FastMul::new(&strassen, Options { steps, additions, ..Options::default() })
-            .multiply(&a, &b);
+        let got = multiply(&strassen, steps, Options { additions, ..Options::default() }, &a, &b);
         let d = max_abs_diff(&want.as_ref(), &got.as_ref()).unwrap();
         prop_assert!(d < 1e-10 * (q as f64 + 1.0), "diff {d}");
     }
@@ -60,8 +62,7 @@ proptest! {
         let a = Matrix::random(70, 66, &mut rng);
         let b = Matrix::random(66, 74, &mut rng);
         let want = reference(&a, &b);
-        let got = FastMul::new(&strassen, Options { steps: 2, scheme, ..Options::default() })
-            .multiply(&a, &b);
+        let got = multiply(&strassen, 2, Options { scheme, ..Options::default() }, &a, &b);
         let d = max_abs_diff(&want.as_ref(), &got.as_ref()).unwrap();
         prop_assert!(d < 1e-10 * 67.0);
     }
@@ -137,8 +138,7 @@ proptest! {
         let a = Matrix::random(n, n, &mut rng);
         let b = Matrix::random(n, n, &mut rng);
         let want = reference(&a, &b);
-        let got = FastMul::new(&strassen, Options { steps: 3, ..Options::default() })
-            .multiply(&a, &b);
+        let got = multiply(&strassen, 3, Options::default(), &a, &b);
         let d = max_abs_diff(&want.as_ref(), &got.as_ref()).unwrap();
         prop_assert!(d < 1e-10 * (n as f64 + 1.0));
     }

@@ -155,6 +155,43 @@ fn task_panic_does_not_poison_subsequent_executions() {
     }
 }
 
+/// Scope teardown under load: every BFS/HYBRID execute at width 2
+/// joins dozens of task scopes, and a scope must not be freed while
+/// its last finishing task still touches it. Repeats the execute until
+/// a teardown race would have corrupted a product or panicked, and
+/// checks every product. The release build runs the larger problem,
+/// where such a race shows within a few hundred executes.
+#[test]
+fn repeated_width_two_bfs_and_hybrid_executes_stay_correct() {
+    let (n, reps) = if cfg!(debug_assertions) {
+        (128, 400)
+    } else {
+        (256, 200)
+    };
+    let tp = pool(2);
+    let mut rng = StdRng::seed_from_u64(17);
+    let a = Matrix::random(n, n, &mut rng);
+    let b = Matrix::random(n, n, &mut rng);
+    let mut want = Matrix::zeros(n, n);
+    fast_matmul::gemm::gemm(1.0, a.as_ref(), b.as_ref(), 0.0, want.as_mut());
+    for scheme in [Scheme::Bfs, Scheme::Hybrid] {
+        let plan = Planner::new()
+            .shape(n, n, n)
+            .algorithm(&algo::strassen())
+            .steps(2)
+            .scheme(scheme)
+            .plan()
+            .unwrap();
+        let mut ws = Workspace::for_plan(&plan);
+        let mut c = Matrix::zeros(n, n);
+        for rep in 0..reps {
+            tp.install(|| plan.execute(&a, &b, &mut c, &mut ws));
+            let d = fast_matmul::matrix::max_abs_diff(&want.as_ref(), &c.as_ref()).unwrap();
+            assert!(d < 1e-9, "{scheme:?} execute {rep}: wrong product ({d})");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 

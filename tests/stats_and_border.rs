@@ -2,8 +2,11 @@
 //! `R^L` leaf-count law, the §4.2 memory-footprint factor, and the
 //! padding-vs-peeling equivalence (§3.5).
 
+mod common;
+
+use common::{multiply, run};
 use fast_matmul::algo;
-use fast_matmul::core::{BorderHandling, FastMul, Options};
+use fast_matmul::core::{BorderHandling, Options, Planner};
 use fast_matmul::matrix::{max_abs_diff, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -16,15 +19,7 @@ fn leaf_count_is_rank_to_the_steps_on_divisible_problems() {
         let mut rng = StdRng::seed_from_u64(1);
         let a = Matrix::random(n, n, &mut rng);
         let b = Matrix::random(n, n, &mut rng);
-        let mut c = Matrix::zeros(n, n);
-        let fm = FastMul::new(
-            &strassen,
-            Options {
-                steps,
-                ..Options::default()
-            },
-        );
-        let stats = fm.multiply_into_with_stats(a.as_ref(), b.as_ref(), c.as_mut());
+        let (_, stats) = run(Planner::new().algorithm(&strassen).steps(steps), &a, &b);
         assert_eq!(stats.base_gemms, 7u64.pow(steps as u32));
         assert_eq!(stats.peel_gemms, 0, "divisible sizes never peel");
     }
@@ -33,18 +28,10 @@ fn leaf_count_is_rank_to_the_steps_on_divisible_problems() {
 #[test]
 fn peel_gemms_appear_on_ragged_sizes() {
     let strassen = algo::strassen();
-    let fm = FastMul::new(
-        &strassen,
-        Options {
-            steps: 1,
-            ..Options::default()
-        },
-    );
     let mut rng = StdRng::seed_from_u64(2);
     let a = Matrix::random(65, 65, &mut rng);
     let b = Matrix::random(65, 65, &mut rng);
-    let mut c = Matrix::zeros(65, 65);
-    let stats = fm.multiply_into_with_stats(a.as_ref(), b.as_ref(), c.as_mut());
+    let (_, stats) = run(Planner::new().algorithm(&strassen).steps(1), &a, &b);
     assert_eq!(stats.base_gemms, 7);
     // all three dims ragged ⇒ all four quadrant fix-ups, 7 thin gemms
     assert_eq!(stats.peel_gemms, 7);
@@ -62,15 +49,7 @@ fn memory_footprint_matches_section_4_2_factor() {
     let mut rng = StdRng::seed_from_u64(3);
     let a = Matrix::random(p, q, &mut rng);
     let b = Matrix::random(q, s, &mut rng);
-    let mut c = Matrix::zeros(p, s);
-    let fm = FastMul::new(
-        &a424,
-        Options {
-            steps: 1,
-            ..Options::default()
-        },
-    );
-    let stats = fm.multiply_into_with_stats(a.as_ref(), b.as_ref(), c.as_mut());
+    let (_, stats) = run(Planner::new().algorithm(&a424).steps(1), &a, &b);
     let m_r_elems = rank * (p as u64 / m as u64) * (s as u64 / n as u64);
     assert!(
         stats.temp_elements >= m_r_elems,
@@ -90,24 +69,20 @@ fn padding_and_peeling_agree_everywhere() {
     for (p, q, r) in [(63, 65, 67), (100, 50, 75), (31, 97, 41)] {
         let a = Matrix::random(p, q, &mut rng);
         let b = Matrix::random(q, r, &mut rng);
-        let peel = FastMul::new(
-            &strassen,
-            Options {
-                steps: 2,
-                border: BorderHandling::DynamicPeeling,
-                ..Options::default()
-            },
-        )
-        .multiply(&a, &b);
-        let pad = FastMul::new(
-            &strassen,
-            Options {
-                steps: 2,
-                border: BorderHandling::Padding,
-                ..Options::default()
-            },
-        )
-        .multiply(&a, &b);
+        let with = |border| {
+            multiply(
+                &strassen,
+                2,
+                Options {
+                    border,
+                    ..Options::default()
+                },
+                &a,
+                &b,
+            )
+        };
+        let peel = with(BorderHandling::DynamicPeeling);
+        let pad = with(BorderHandling::Padding);
         let d = max_abs_diff(&peel.as_ref(), &pad.as_ref()).unwrap();
         assert!(d < 1e-10 * q as f64, "{p}x{q}x{r}: diff {d}");
     }
@@ -116,19 +91,18 @@ fn padding_and_peeling_agree_everywhere() {
 #[test]
 fn padding_eliminates_peel_gemms() {
     let strassen = algo::strassen();
-    let fm = FastMul::new(
-        &strassen,
-        Options {
-            steps: 2,
-            border: BorderHandling::Padding,
-            ..Options::default()
-        },
-    );
     let mut rng = StdRng::seed_from_u64(5);
     let a = Matrix::random(65, 63, &mut rng);
     let b = Matrix::random(63, 61, &mut rng);
-    let mut c = Matrix::zeros(65, 61);
-    let stats = fm.multiply_into_with_stats(a.as_ref(), b.as_ref(), c.as_mut());
+    let padding = Options {
+        border: BorderHandling::Padding,
+        ..Options::default()
+    };
+    let planner = Planner::new()
+        .algorithm(&strassen)
+        .steps(2)
+        .options(padding);
+    let (_, stats) = run(planner, &a, &b);
     assert_eq!(stats.peel_gemms, 0, "padded problems never peel");
     assert_eq!(stats.base_gemms, 49);
 }
@@ -138,18 +112,10 @@ fn composed_schedule_leaf_count_is_product_of_ranks() {
     let sched = algo::schedule_54();
     let refs: Vec<&fast_matmul::tensor::Decomposition> = sched.iter().collect();
     let expect: u64 = sched.iter().map(|d| d.rank() as u64).product();
-    let fm = FastMul::with_schedule(
-        &refs,
-        Options {
-            steps: 0, // schedule length is authoritative
-            ..Options::default()
-        },
-    );
     let n = 54;
     let mut rng = StdRng::seed_from_u64(6);
     let a = Matrix::random(n, n, &mut rng);
     let b = Matrix::random(n, n, &mut rng);
-    let mut c = Matrix::zeros(n, n);
-    let stats = fm.multiply_into_with_stats(a.as_ref(), b.as_ref(), c.as_mut());
+    let (_, stats) = run(Planner::new().schedule(&refs), &a, &b);
     assert_eq!(stats.base_gemms, expect);
 }
