@@ -2,18 +2,7 @@
 //! comparison: per experiment and problem size, which algorithm wins
 //! and the percentage gap to the classical baseline. This is the table
 //! generator behind EXPERIMENTS.md.
-//!
-//! Beyond the measurement tables, two stats-document modes digest the
-//! always-on latency histograms:
-//!
-//! * `--engine-stats FILE` — an [`fmm_core::EngineStats`] JSON (from
-//!   `throughput --stats-json`): per-shape-class p50/p99/p999 columns.
-//! * `--fleet-stats FILE` — an [`fmm_serve::FleetStats`] JSON (from
-//!   `loadgen --stats-json`): the same table for both the engine-side
-//!   and router-side views, plus a fleet-vs-engine tail score (the
-//!   serving tier's p99/p999 overhead over the raw engines).
 
-use fmm_trace::{merged_total, HistogramRow, RELATIVE_ERROR_BOUND};
 use serde::Deserialize;
 use std::collections::BTreeMap;
 
@@ -40,113 +29,11 @@ fn dtype_of(algorithm: &str) -> String {
         .unwrap_or_else(|| "f64".into())
 }
 
-/// Per-shape-class latency table from histogram rows, with a merged
-/// "(all)" footer. Values are nanoseconds in the histogram.
-fn print_tails(title: &str, rows: &[HistogramRow]) {
-    let ms = |ns: u64| ns as f64 / 1e6;
-    println!(
-        "\n{title} latency by shape class (histogram resolution ±{:.0}%):",
-        RELATIVE_ERROR_BOUND * 100.0
-    );
-    println!(
-        "{:<16} {:>9} {:>10} {:>10} {:>10}",
-        "shape-class", "count", "p50_ms", "p99_ms", "p999_ms"
-    );
-    for row in rows {
-        println!(
-            "{:<16} {:>9} {:>10.3} {:>10.3} {:>10.3}",
-            row.label,
-            row.hist.count(),
-            ms(row.hist.quantile(0.50)),
-            ms(row.hist.quantile(0.99)),
-            ms(row.hist.quantile(0.999)),
-        );
-    }
-    let total = merged_total(rows);
-    println!(
-        "{:<16} {:>9} {:>10.3} {:>10.3} {:>10.3}",
-        "(all)",
-        total.count(),
-        ms(total.quantile(0.50)),
-        ms(total.quantile(0.99)),
-        ms(total.quantile(0.999)),
-    );
-}
-
-/// Digest a `throughput --stats-json` document.
-fn summarize_engine_stats(path: &str) {
-    let text = std::fs::read_to_string(path).expect("read engine stats json");
-    let stats: fmm_core::EngineStats = serde_json::from_str(&text).expect("parse engine stats");
-    println!(
-        "\nengine stats from {path}: {} multiplies on {} threads, cache {}/{} hit/miss",
-        stats.multiplies, stats.threads, stats.plan_cache_hits, stats.plan_cache_misses
-    );
-    print_tails("engine", &stats.latency);
-}
-
-/// Digest a `loadgen --stats-json` document: both latency views plus
-/// the fleet-vs-engine tail score.
-fn summarize_fleet_stats(path: &str) {
-    let text = std::fs::read_to_string(path).expect("read fleet stats json");
-    let stats = fmm_serve::FleetStats::from_json(&text).expect("parse fleet stats");
-    println!(
-        "\nfleet stats from {path}: {} shards, {} completions, {} retries, {} respawns",
-        stats.shards, stats.router.completions, stats.router.retries, stats.router.respawns
-    );
-    print_tails("engine-side (live shards)", &stats.latency);
-    print_tails("router-side (crash-immune)", &stats.router_latency);
-    let engine = stats.merged_engine_latency();
-    let router = stats.merged_router_latency();
-    if !engine.is_empty() && !router.is_empty() {
-        let score = |q: f64| {
-            let e = engine.quantile(q).max(1) as f64;
-            router.quantile(q) as f64 / e
-        };
-        println!(
-            "\nfleet vs engine tails: p50 ×{:.2}  p99 ×{:.2}  p999 ×{:.2} \
-             (router-observed over engine-side; the serving tier's wire + queueing overhead)",
-            score(0.50),
-            score(0.99),
-            score(0.999)
-        );
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut paths: Vec<String> = Vec::new();
-    let mut engine_stats: Vec<String> = Vec::new();
-    let mut fleet_stats: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--engine-stats" => {
-                i += 1;
-                engine_stats.push(args[i].clone());
-            }
-            "--fleet-stats" => {
-                i += 1;
-                fleet_stats.push(args[i].clone());
-            }
-            other => paths.push(other.to_string()),
-        }
-        i += 1;
-    }
-    if paths.is_empty() && engine_stats.is_empty() && fleet_stats.is_empty() {
-        eprintln!(
-            "usage: summarize [<results.json>…] [--engine-stats stats.json] \
-             [--fleet-stats fleet.json]"
-        );
-        std::process::exit(2);
-    }
-    for path in &engine_stats {
-        summarize_engine_stats(path);
-    }
-    for path in &fleet_stats {
-        summarize_fleet_stats(path);
-    }
+    let paths: Vec<String> = std::env::args().skip(1).collect();
     if paths.is_empty() {
-        return;
+        eprintln!("usage: summarize <results.json>…");
+        std::process::exit(2);
     }
     let mut rows: Vec<Row> = Vec::new();
     for p in &paths {
@@ -173,17 +60,9 @@ fn main() {
         "experiment", "problem", "", "winner", "GFLOPS", "vs classical"
     );
     for ((exp, _dtype, p, q, r, threads), algs) in groups {
-        // The serving-tier experiment has no classical row: its
-        // baseline is the single-process engine the fleet competes
-        // against.
-        let baseline_prefix = if exp == "loadgen" {
-            "engine"
-        } else {
-            "classical"
-        };
         let classical = algs
             .iter()
-            .find(|(name, _)| name.starts_with(baseline_prefix))
+            .find(|(name, _)| name.starts_with("classical"))
             .map(|&(_, g)| g);
         let (best_name, best_g) = algs
             .iter()

@@ -7,12 +7,6 @@
 //! one, two, or three steps of recursion"), and CSV/JSON emission so
 //! EXPERIMENTS.md can quote results directly.
 
-pub mod latency;
-
-pub use latency::{
-    percentile_rank, percentile_sorted, run_mixed_stream, LatencyStats, StreamOutcome, StreamSample,
-};
-
 use fmm_core::{AdditionMethod, GemmScalar, Options, Planner, Scheme, Workspace};
 use fmm_matrix::{DenseMatrix, Matrix, Scalar};
 use fmm_tensor::Decomposition;
@@ -44,17 +38,14 @@ pub struct HarnessConfig {
     pub thread_counts: Vec<usize>,
     /// Optional JSON output path.
     pub json_out: Option<String>,
-    /// Optional path for an end-of-run engine/fleet stats JSON dump
-    /// (`--stats-json PATH`; which document depends on the binary).
-    pub stats_json: Option<String>,
     /// Element type to measure in (`--dtype f32|f64`; default f64).
+    /// Only `fig4` reads it.
     pub dtype: Dtype,
 }
 
 impl HarnessConfig {
     /// Parse from `std::env::args`: `--quick` (default), `--full`,
-    /// `--trials T`, `--threads 1,2`, `--json PATH`,
-    /// `--stats-json PATH`, `--dtype f32|f64`.
+    /// `--trials T`, `--threads 1,2`, `--json PATH`, `--dtype f32|f64`.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
         let mut cfg = HarnessConfig {
@@ -62,7 +53,6 @@ impl HarnessConfig {
             trials: 3,
             thread_counts: vec![1, num_threads_available()],
             json_out: None,
-            stats_json: None,
             dtype: Dtype::F64,
         };
         let mut i = 1;
@@ -84,10 +74,6 @@ impl HarnessConfig {
                 "--json" => {
                     i += 1;
                     cfg.json_out = Some(args[i].clone());
-                }
-                "--stats-json" => {
-                    i += 1;
-                    cfg.stats_json = Some(args[i].clone());
                 }
                 "--dtype" => {
                     i += 1;
@@ -252,7 +238,7 @@ pub fn measure_classical_in<T: GemmScalar>(
 
 /// `""` for f64 (keeping historical labels stable), `"[f32]"` etc.
 /// otherwise.
-pub fn dtype_tag<T: Scalar>() -> String {
+fn dtype_tag<T: Scalar>() -> String {
     if T::NAME == "f64" {
         String::new()
     } else {

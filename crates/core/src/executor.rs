@@ -37,6 +37,7 @@
 //! [`crate::Plan::workspace_len`].
 
 use crate::plan::{output_plan, side_plan, SidePlan, Var};
+use crate::planner::PlanError;
 use fmm_gemm::{gemm, par_gemm, GemmScalar};
 use fmm_matrix::kernels;
 use fmm_matrix::partition::{Grid, PeelSplit};
@@ -300,6 +301,18 @@ impl<T: Scalar> LevelPlan<T> {
     }
 }
 
+// Checked size arithmetic: a shape whose workspace does not fit in
+// `usize` is a typed plan error, never a wrapped length.
+fn mul(a: usize, b: usize) -> Result<usize, PlanError> {
+    a.checked_mul(b).ok_or(PlanError::ShapeOverflow)
+}
+
+fn sum(parts: &[usize]) -> Result<usize, PlanError> {
+    parts.iter().try_fold(0usize, |acc, &x| {
+        acc.checked_add(x).ok_or(PlanError::ShapeOverflow)
+    })
+}
+
 /// Workspace layout of one recursion node, derived from the node's
 /// problem dimensions. The same arithmetic drives both plan-time sizing
 /// ([`required_workspace`]) and runtime carving, so the two can never
@@ -339,53 +352,60 @@ impl NodeLayout {
         p: usize,
         q: usize,
         r: usize,
-    ) -> Option<Self> {
-        let lp = levels.get(depth)?;
+    ) -> Result<Option<Self>, PlanError> {
+        let Some(lp) = levels.get(depth) else {
+            return Ok(None);
+        };
         let peel = PeelSplit::new(p, q, r, lp.m, lp.k, lp.n);
         if peel.core_is_empty() {
-            return None;
+            return Ok(None);
         }
         let (cp, cq, cr) = (peel.p1 / lp.m, peel.q1 / lp.k, peel.r1 / lp.n);
-        let s_size = cp * cq;
-        let t_size = cq * T::K_PACK * cr;
-        let m_size = cp * cr;
-        let st_len = (0..lp.rank)
-            .map(|i| {
-                let s = if lp.uplan.passthrough[i].is_none() {
-                    s_size
-                } else {
-                    0
-                };
-                let t = if lp.vplan.passthrough[i].is_none() {
-                    t_size
-                } else {
-                    0
-                };
-                s + t
-            })
-            .sum();
-        let child_len = node_workspace(levels, depth + 1, scheme, cp, cq, cr);
+        let s_size = mul(cp, cq)?;
+        let t_size = mul(mul(cq, T::K_PACK)?, cr)?;
+        let m_size = mul(cp, cr)?;
+        let st_len = (0..lp.rank).try_fold(0, |len, i| {
+            let s = if lp.uplan.passthrough[i].is_none() {
+                s_size
+            } else {
+                0
+            };
+            let t = if lp.vplan.passthrough[i].is_none() {
+                t_size
+            } else {
+                0
+            };
+            sum(&[len, s, t])
+        })?;
+        let child_len = node_workspace(levels, depth + 1, scheme, cp, cq, cr)?;
         let children_len = if scheme.concurrent_children() {
-            lp.rank * child_len
+            mul(lp.rank, child_len)?
         } else {
             child_len
         };
-        Some(NodeLayout {
+        let layout = NodeLayout {
             peel,
             s_size,
             t_size,
             m_size,
-            ut_len: lp.uplan.temps.len() * s_size,
-            vt_len: lp.vplan.temps.len() * t_size,
-            ms_len: lp.rank * m_size,
+            ut_len: mul(lp.uplan.temps.len(), s_size)?,
+            vt_len: mul(lp.vplan.temps.len(), t_size)?,
+            ms_len: mul(lp.rank, m_size)?,
             st_len,
             child_len,
             children_len,
-        })
+        };
+        Ok(Some(layout))
     }
 
-    fn total(&self) -> usize {
-        self.ut_len + self.vt_len + self.ms_len + self.st_len + self.children_len
+    fn total(&self) -> Result<usize, PlanError> {
+        sum(&[
+            self.ut_len,
+            self.vt_len,
+            self.ms_len,
+            self.st_len,
+            self.children_len,
+        ])
     }
 }
 
@@ -397,28 +417,32 @@ fn node_workspace<T: GemmScalar>(
     p: usize,
     q: usize,
     r: usize,
-) -> usize {
-    NodeLayout::at(levels, depth, scheme, p, q, r).map_or(0, |l| l.total())
+) -> Result<usize, PlanError> {
+    NodeLayout::at(levels, depth, scheme, p, q, r)?.map_or(Ok(0), |l| l.total())
 }
 
 /// Exact workspace size (in scalar elements) a `p × q × r` execution of
 /// this schedule requires, including padding copies when
-/// [`BorderHandling::Padding`] is selected. One walk of the recursion
-/// tree; this is what [`crate::Plan::workspace_len`] precomputes.
+/// [`BorderHandling::Padding`] is selected, or
+/// [`PlanError::ShapeOverflow`] when it does not fit in `usize`. One
+/// walk of the recursion tree; this is what
+/// [`crate::Plan::workspace_len`] precomputes.
 pub(crate) fn required_workspace<T: GemmScalar>(
     levels: &[LevelPlan<T>],
     opts: &Options,
     p: usize,
     q: usize,
     r: usize,
-) -> usize {
+) -> Result<usize, PlanError> {
     if opts.border == BorderHandling::Padding && !levels.is_empty() {
-        let (pp, qq, rr) = padded_dims(levels, p, q, r);
+        let (pp, qq, rr) = padded_dims(levels, p, q, r)?;
         if (pp, qq, rr) != (p, q, r) {
-            return pp * qq
-                + qq * T::K_PACK * rr
-                + pp * rr
-                + node_workspace(levels, 0, opts.scheme, pp, qq, rr);
+            return sum(&[
+                mul(pp, qq)?,
+                mul(mul(qq, T::K_PACK)?, rr)?,
+                mul(pp, rr)?,
+                node_workspace(levels, 0, opts.scheme, pp, qq, rr)?,
+            ]);
         }
     }
     node_workspace(levels, 0, opts.scheme, p, q, r)
@@ -426,15 +450,17 @@ pub(crate) fn required_workspace<T: GemmScalar>(
 
 /// Dimensions after zero-padding each axis to the full per-level
 /// product so no recursion level ever peels.
-fn padded_dims<T>(levels: &[LevelPlan<T>], p: usize, q: usize, r: usize) -> (usize, usize, usize) {
-    let mprod: usize = levels.iter().map(|l| l.m).product();
-    let kprod: usize = levels.iter().map(|l| l.k).product();
-    let nprod: usize = levels.iter().map(|l| l.n).product();
-    (
-        p.div_ceil(mprod) * mprod,
-        q.div_ceil(kprod) * kprod,
-        r.div_ceil(nprod) * nprod,
-    )
+fn padded_dims<T>(
+    levels: &[LevelPlan<T>],
+    p: usize,
+    q: usize,
+    r: usize,
+) -> Result<(usize, usize, usize), PlanError> {
+    let pad = |dim: usize, base: fn(&LevelPlan<T>) -> usize| {
+        let prod = levels.iter().map(base).try_fold(1, mul)?;
+        mul(dim.div_ceil(prod), prod)
+    };
+    Ok((pad(p, |l| l.m)?, pad(q, |l| l.k)?, pad(r, |l| l.n)?))
 }
 
 /// Run the schedule inside `ws`, which must hold at least
@@ -472,7 +498,7 @@ pub(crate) fn execute_on<T: GemmScalar>(
         // Pad each dimension to the full per-level product so no
         // recursion level ever peels.
         let (p, q, r) = (a.rows(), a.cols(), b.cols());
-        let (pp, qq, rr) = padded_dims(levels, p, q, r);
+        let (pp, qq, rr) = padded_dims(levels, p, q, r).expect("sized at plan time");
         if (pp, qq, rr) != (p, q, r) {
             let bqq = qq * T::K_PACK;
             ctx.count(|s| &s.temp_elements, (pp * qq + bqq * rr + pp * rr) as u64);
@@ -627,7 +653,9 @@ fn run_node<T: GemmScalar>(
     ws: &mut [T],
 ) {
     let (p, q, r) = (a.rows(), a.cols(), b.cols());
-    let Some(layout) = NodeLayout::at(ctx.levels, depth, ctx.scheme, p, q, r) else {
+    let Some(layout) =
+        NodeLayout::at(ctx.levels, depth, ctx.scheme, p, q, r).expect("sized at plan time")
+    else {
         // Recursion exhausted, or the core is smaller than the base
         // case: one classical product.
         ctx.leaf_gemm(leaf_lo, T::ONE, a, b, T::ZERO, c);

@@ -3,11 +3,12 @@
 //! elimination (paper §3.3).
 
 use fmm_matrix::Matrix;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 /// A variable in an addition chain: either an original operand block or
 /// a temporary produced by CSE.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Var {
     /// Index of an operand sub-block (row index of U or V; row-major).
     Block(usize),
@@ -97,34 +98,34 @@ pub fn side_plan(factor: &Matrix, cse: bool, tol: f64) -> SidePlan {
 }
 
 /// Key identifying a subexpression up to scale: ordered variable pair
-/// plus the quantized coefficient ratio `coef_b / coef_a`.
-fn pair_key(va: Var, ca: f64, vb: Var, cb: f64) -> (Var, Var, i64) {
-    // Quantize the ratio to 1/64ths: catalog coefficients are small
-    // dyadic rationals, so this is exact for them.
-    let ratio = cb / ca;
-    (va, vb, (ratio * 64.0).round() as i64)
+/// plus the bits of the exact coefficient ratio `coef_b / coef_a`.
+/// Only pairs whose ratios are bitwise equal share a temporary, so CSE
+/// never changes the bilinear map, whatever the coefficients.
+fn pair_key(va: Var, ca: f64, vb: Var, cb: f64) -> (Var, Var, u64) {
+    (va, vb, (cb / ca).to_bits())
 }
 
+/// The pair occurring most often, ties going to the smallest ratio
+/// magnitude and then to the largest key: a total order, so the plan
+/// does not depend on the map's iteration order.
 fn most_frequent_pair(chains: &[Chain]) -> Option<((Var, Var, f64), usize)> {
-    let mut counts: HashMap<(Var, Var, i64), usize> = HashMap::new();
+    let mut counts: HashMap<(Var, Var, u64), usize> = HashMap::new();
     for chain in chains {
         for x in 0..chain.len() {
             for y in x + 1..chain.len() {
                 let (va, ca) = chain[x];
                 let (vb, cb) = chain[y];
-                let key = pair_key(va, ca, vb, cb);
-                *counts.entry(key).or_insert(0) += 1;
+                *counts.entry(pair_key(va, ca, vb, cb)).or_insert(0) += 1;
             }
         }
     }
     counts
         .into_iter()
-        .max_by_key(|&(key, c)| (c, std::cmp::Reverse(quant_abs(key.2))))
-        .map(|((va, vb, q), c)| ((va, vb, q as f64 / 64.0), c))
-}
-
-fn quant_abs(q: i64) -> i64 {
-    q.abs()
+        .max_by_key(|&(key, c)| {
+            let magnitude = f64::from_bits(key.2).abs().to_bits();
+            (c, Reverse(magnitude), key)
+        })
+        .map(|((va, vb, bits), c)| ((va, vb, f64::from_bits(bits)), c))
 }
 
 /// Replace `ca·va + ca·ratio·vb` by `ca·y` in `chain` when present.
@@ -134,7 +135,7 @@ fn rewrite_chain(chain: &mut Chain, va: Var, vb: Var, ratio: f64, y: Var) {
     if let (Some(ia), Some(ib)) = (pos_a, pos_b) {
         let ca = chain[ia].1;
         let cb = chain[ib].1;
-        if ((cb / ca) * 64.0).round() as i64 == (ratio * 64.0).round() as i64 {
+        if (cb / ca).to_bits() == ratio.to_bits() {
             chain[ia] = (y, ca);
             chain.remove(ib);
         }

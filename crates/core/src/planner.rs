@@ -56,6 +56,9 @@ pub enum PlanError {
         /// The element type that rejected it.
         dtype: &'static str,
     },
+    /// The shape's padded dimensions or its workspace size do not fit
+    /// in `usize`.
+    ShapeOverflow,
 }
 
 impl std::fmt::Display for PlanError {
@@ -83,6 +86,9 @@ impl std::fmt::Display for PlanError {
                 f,
                 "coefficient {value} of scheme {scheme} is not representable in {dtype}"
             ),
+            PlanError::ShapeOverflow => {
+                write!(f, "the shape's workspace size does not fit in usize")
+            }
         }
     }
 }
@@ -340,7 +346,7 @@ impl Planner {
                 })
             })
             .collect::<Result<_, _>>()?;
-        let ws_len = required_workspace(&levels, &opts, shape.0, shape.1, shape.2);
+        let ws_len = required_workspace(&levels, &opts, shape.0, shape.1, shape.2)?;
         let plan = Plan {
             levels,
             opts,
@@ -615,6 +621,29 @@ mod tests {
                 .unwrap()
                 .depth(),
             2
+        );
+        // Sizes past usize are an error in debug and release alike,
+        // never a wrapped workspace length.
+        let huge = 1 << 33;
+        assert_eq!(
+            Planner::new()
+                .shape(huge, huge, huge)
+                .algorithm(&s)
+                .steps(2)
+                .plan::<f64>()
+                .err(),
+            Some(PlanError::ShapeOverflow)
+        );
+        // Padding rounds a dimension up past usize::MAX.
+        assert_eq!(
+            Planner::new()
+                .shape(usize::MAX, 2, 2)
+                .algorithm(&s)
+                .steps(1)
+                .border(BorderHandling::Padding)
+                .plan::<f64>()
+                .err(),
+            Some(PlanError::ShapeOverflow)
         );
     }
 

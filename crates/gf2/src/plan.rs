@@ -142,6 +142,13 @@ impl Gf2Planner {
                 Scheme::Sequential
             })
             .plan::<Gf2Word>()?;
+        // `workspace_words` adds a copy of `B` padded to whole words of
+        // `A` to the core workspace; the sum must fit in `usize` too.
+        let (_, kw, nw) = plan.shape();
+        kw.checked_mul(WORD_BITS)
+            .and_then(|rows| rows.checked_mul(nw))
+            .and_then(|words| words.checked_add(plan.workspace_len()))
+            .ok_or(PlanError::ShapeOverflow)?;
         Ok(Gf2Plan {
             shape: (m, k, n),
             plan,
@@ -457,6 +464,21 @@ mod tests {
             assert!(msg.contains("<3,2,2>"), "message names the scheme: {msg}");
             assert!(msg.contains("gf2"), "message names the dtype: {msg}");
         }
+    }
+
+    #[test]
+    fn oversized_shapes_fail_planning() {
+        // The core workspace overflows, through fmm_core::Planner.
+        let huge = 1 << 40;
+        let core = Gf2Planner::new().shape(huge, huge, huge).steps(2).plan();
+        assert_eq!(core.err(), Some(PlanError::ShapeOverflow));
+        // Plain M4RM needs no core workspace, but the padded copy of B
+        // would have more rows than usize can count.
+        let padded = Gf2Planner::new()
+            .shape(1, usize::MAX - 1, 64)
+            .steps(0)
+            .plan();
+        assert_eq!(padded.err(), Some(PlanError::ShapeOverflow));
     }
 
     #[test]

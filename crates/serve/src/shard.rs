@@ -19,7 +19,7 @@
 use crate::stats::ShardStatsReport;
 use crate::wire::{
     decode_matrix, encode_matrix, read_frame, write_frame, ErrorCode, Frame, WireDtype, WireError,
-    WireScalar,
+    WireScalar, MAX_FRAME,
 };
 use fmm_core::{EngineError, FmmEngine};
 use std::io;
@@ -126,6 +126,18 @@ impl ShardState {
         }
         if *m == 0 || *k == 0 || *n == 0 {
             return error(id, ErrorCode::Shape, "zero-sized dimension");
+        }
+        // The product must fit in one response frame, the client's own
+        // rule: small operands can still ask for a huge `m × n`.
+        let product_bytes = dtype.element_size().map_or(0, |elem| {
+            (*m as u64 * *n as u64).saturating_mul(elem as u64)
+        });
+        if product_bytes > MAX_FRAME as u64 {
+            return error(
+                id,
+                ErrorCode::Shape,
+                format!("a {m}x{n} product exceeds the {MAX_FRAME}-byte frame cap"),
+            );
         }
         // Admission control: reject beyond the bound instead of
         // buffering unboundedly.

@@ -2,7 +2,7 @@
 //! RPC and what the router aggregates fleet-wide.
 //!
 //! Everything here serializes through the vendored serde (JSON), so a
-//! `summarize`-style consumer — or an operator with `curl`-equivalent
+//! client of the stats RPC — or an operator with `curl`-equivalent
 //! tooling — reads one snapshot document for the whole fleet.
 
 use fmm_core::EngineStats;
@@ -153,7 +153,7 @@ pub struct FleetStats {
 
 impl FleetStats {
     /// Serialize as pretty-printed JSON (what `fmm-router` serves on
-    /// its stats RPC and `loadgen` prints).
+    /// its stats RPC).
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("fleet serialization is infallible")
     }

@@ -1,12 +1,17 @@
 //! Client ↔ shard integration over a real Unix socket: bitwise
 //! correctness against `Plan::execute`, pipelined batches, admission
-//! control, the stats RPC, and the drain handshake.
+//! control, size limits, the stats RPC, and the drain handshake.
 
 use fmm_core::{FmmEngine, Workspace};
 use fmm_matrix::DenseMatrix;
-use fmm_serve::{ServeClient, ServeError, ShardConfig, ShardServer, ShardStatsReport};
+use fmm_serve::wire::{decode_matrix, encode_matrix, read_frame, write_frame};
+use fmm_serve::{
+    ErrorCode, Frame, ServeClient, ServeError, ShardConfig, ShardServer, ShardStatsReport,
+    WireDtype,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 
 fn socket(name: &str) -> PathBuf {
@@ -110,6 +115,57 @@ fn shape_mismatch_is_rejected_client_side_and_server_side() {
     let b_ok = DenseMatrix::<f64>::random(9, 8, &mut rng);
     client.multiply(&a, &b_ok).expect("connection still usable");
 
+    client.drain().expect("drain");
+    shard.join().expect("shard exits");
+}
+
+#[test]
+fn oversized_product_is_a_typed_shape_error_and_the_connection_survives() {
+    let shard = ShardServer::start(ShardConfig::new(socket("oversized"))).expect("start shard");
+    // The client refuses to build a request whose product exceeds the
+    // frame cap, so speak the wire protocol directly.
+    let mut stream = UnixStream::connect(shard.socket()).expect("connect");
+    let mut rng = StdRng::seed_from_u64(13);
+    let mut request = |id, m: usize, k: usize, n: usize| {
+        let a = DenseMatrix::<f64>::random(m, k, &mut rng);
+        let b = DenseMatrix::<f64>::random(k, n, &mut rng);
+        let frame = Frame::MultiplyReq {
+            id,
+            dtype: WireDtype::F64,
+            m: m as u32,
+            k: k as u32,
+            n: n as u32,
+            a: encode_matrix(&a),
+            b: encode_matrix(&b),
+        };
+        (a, b, frame)
+    };
+
+    // 48 KB operands, 288 MB product.
+    let (_, _, huge) = request(1, 6000, 1, 6000);
+    write_frame(&mut stream, &huge).expect("send");
+    match read_frame(&mut stream).expect("response") {
+        Some(Frame::Error {
+            id: 1,
+            code: ErrorCode::Shape,
+            ..
+        }) => {}
+        other => panic!("expected a typed shape error, got {other:?}"),
+    }
+
+    // The same connection still multiplies.
+    let (a, b, small) = request(2, 16, 8, 16);
+    write_frame(&mut stream, &small).expect("send");
+    match read_frame(&mut stream).expect("response") {
+        Some(Frame::MultiplyOk { id: 2, c, .. }) => {
+            let got = decode_matrix::<f64>(16, 16, &c).expect("decode product");
+            assert_eq!(got.as_slice(), reference(&a, &b).as_slice());
+        }
+        other => panic!("expected a product, got {other:?}"),
+    }
+
+    drop(stream);
+    let mut client = ServeClient::connect(shard.socket()).expect("connect");
     client.drain().expect("drain");
     shard.join().expect("shard exits");
 }

@@ -447,7 +447,10 @@ mod tests {
         let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
         assert_eq!(percentile_sorted(&v, 0.50), 51.0);
         assert_eq!(percentile_sorted(&v, 0.99), 100.0);
+        // A single sample answers every quantile, tails included.
         assert_eq!(percentile_sorted(&[7.0], 0.5), 7.0);
+        assert_eq!(percentile_sorted(&[7.0], 0.99), 7.0);
+        assert_eq!(percentile_sorted(&[7.0], 0.999), 7.0);
         assert_eq!(percentile_sorted(&[], 0.5), 0.0);
         assert_eq!(percentile_rank(0, 0.5), None);
     }

@@ -330,7 +330,7 @@ pub fn reset() {
 
 static PROCESS_LABEL: Mutex<Option<String>> = Mutex::new(None);
 
-/// Name this process in exported traces (e.g. `shard-0`, `loadgen`).
+/// Name this process in exported traces (e.g. `shard-0`, `perf-fleet_open`).
 pub fn set_process_label(label: &str) {
     *PROCESS_LABEL.lock().unwrap_or_else(|e| e.into_inner()) = Some(label.to_string());
 }

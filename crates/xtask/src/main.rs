@@ -21,7 +21,7 @@
 //!   catalog can produce, the APA acceptance checks, and the ℚ\[ε\]
 //!   border-rank certification of the Schönhage τ construction.
 //! * `trace-check <file>` — validate a Chrome trace JSON produced by
-//!   the tracing stack (`loadgen --trace` or
+//!   the tracing stack (`perf --trace-out` or
 //!   `fmm_trace::TraceSink::export_chrome_json`): parseable, non-empty,
 //!   and covering the deterministic span kinds end to end.
 //!

@@ -7,7 +7,7 @@ mod common;
 
 use common::multiply;
 use fast_matmul::algo;
-use fast_matmul::core::{AdditionMethod, Options, Scheme};
+use fast_matmul::core::{cse_stats, AdditionMethod, Options, Scheme};
 use fast_matmul::matrix::{max_abs_diff, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -81,8 +81,16 @@ fn strategy_matrix_full_cross_product() {
 
 #[test]
 fn cse_on_catalog_algorithms_changes_nothing() {
-    // CSE must be a pure evaluation-plan optimization.
-    for name in ["<3,3,3>", "<4,2,4>", "<4,3,3>", "<2,3,3>"] {
+    // CSE must be a pure evaluation-plan optimization, also for the
+    // dense real coefficients of the APA fits.
+    for name in [
+        "<3,3,3>",
+        "<4,2,4>",
+        "<4,3,3>",
+        "<2,3,3>",
+        "bini",
+        "schonhage",
+    ] {
         let alg = algo::by_name(name).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
         let (m, k, n) = alg.dec.base();
@@ -104,6 +112,19 @@ fn cse_on_catalog_algorithms_changes_nothing() {
         let (plain, with_cse) = (with(false), with(true));
         let d = max_abs_diff(&plain.as_ref(), &with_cse.as_ref()).unwrap();
         assert!(d < 1e-10, "{name}: CSE changed the result by {d:.2e}");
+    }
+}
+
+#[test]
+fn cse_plans_are_deterministic() {
+    // Ties between equally frequent pairs break in a fixed order, so
+    // every plan in one process eliminates the same subexpressions.
+    for name in ["<3,3,3>", "<4,3,2>", "<4,3,3>"] {
+        let dec = algo::by_name(name).unwrap().dec;
+        let first = cse_stats(&dec.u, &dec.v, 1e-12);
+        for _ in 1..20 {
+            assert_eq!(cse_stats(&dec.u, &dec.v, 1e-12), first, "{name}");
+        }
     }
 }
 
