@@ -7,12 +7,15 @@
 //! a *second, independent implementation* of the arithmetic: the
 //! executor derives its workspace carving from `NodeLayout`, the
 //! certificate re-derives every region size from the level metadata
-//! alone. `Planner::plan` cross-checks the two with a `debug_assert`,
-//! so a divergence between sizing and execution is caught at plan time
+//! alone. `Planner::plan` derives the certificate in every build, so a
+//! count that does not fit in `u64` is a typed plan error, and
+//! cross-checks the two workspace sizes with a `debug_assert`, so a
+//! divergence between sizing and execution is caught at plan time
 //! rather than as a slice-carving panic (or silent corruption) mid
 //! multiply.
 
 use crate::executor::{BorderHandling, LevelPlan, Options, Scheme};
+use crate::planner::PlanError;
 use fmm_gemm::GemmScalar;
 use fmm_matrix::partition::PeelSplit;
 
@@ -56,21 +59,39 @@ struct Counts {
     peel_gemms: u64,
     temp_elements: u64,
     gemm_flops: u64,
-    workspace: usize,
+    workspace: u64,
+}
+
+// Checked count arithmetic: a count past `u64::MAX` is a typed plan
+// error, never a wrapped number.
+fn mul(a: u64, b: u64) -> Result<u64, PlanError> {
+    a.checked_mul(b).ok_or(PlanError::ShapeOverflow)
+}
+
+fn sum(parts: &[u64]) -> Result<u64, PlanError> {
+    parts.iter().try_fold(0u64, |acc, &x| {
+        acc.checked_add(x).ok_or(PlanError::ShapeOverflow)
+    })
+}
+
+/// Multiply–add flops of one classical `p × q × r` gemm: `2·p·q·r`.
+fn flops(p: u64, q: u64, r: u64) -> Result<u64, PlanError> {
+    mul(2, mul(mul(p, q)?, r)?)
 }
 
 impl Counts {
-    fn leaf(p: usize, q: usize, r: usize) -> Counts {
-        Counts {
+    fn leaf(p: u64, q: u64, r: u64) -> Result<Counts, PlanError> {
+        Ok(Counts {
             base_gemms: 1,
-            gemm_flops: 2 * (p * q * r) as u64,
+            gemm_flops: flops(p, q, r)?,
             ..Counts::default()
-        }
+        })
     }
 
-    fn strip(&mut self, p: usize, q: usize, r: usize) {
-        self.peel_gemms += 1;
-        self.gemm_flops += 2 * (p * q * r) as u64;
+    fn strip(&mut self, p: u64, q: u64, r: u64) -> Result<(), PlanError> {
+        self.peel_gemms = sum(&[self.peel_gemms, 1])?;
+        self.gemm_flops = sum(&[self.gemm_flops, flops(p, q, r)?])?;
+        Ok(())
     }
 }
 
@@ -82,48 +103,49 @@ fn walk<T: GemmScalar>(
     p: usize,
     q: usize,
     r: usize,
-) -> Counts {
+) -> Result<Counts, PlanError> {
     let Some(lp) = levels.get(depth) else {
-        return Counts::leaf(p, q, r);
+        return Counts::leaf(p as u64, q as u64, r as u64);
     };
     let peel = PeelSplit::new(p, q, r, lp.m, lp.k, lp.n);
     if peel.core_is_empty() {
-        return Counts::leaf(p, q, r);
+        return Counts::leaf(p as u64, q as u64, r as u64);
     }
-    let (p1, q1, r1) = (peel.p1, peel.q1, peel.r1);
-    let (dp, dq, dr) = (peel.dp, peel.dq, peel.dr);
-    let (cp, cq, cr) = (p1 / lp.m, q1 / lp.k, r1 / lp.n);
+    let (p1, q1, r1) = (peel.p1 as u64, peel.q1 as u64, peel.r1 as u64);
+    let (dp, dq, dr) = (peel.dp as u64, peel.dq as u64, peel.dr as u64);
+    let (cp, cq, cr) = (peel.p1 / lp.m, peel.q1 / lp.k, peel.r1 / lp.n);
     let rank = lp.rank as u64;
 
-    let child = walk(levels, scheme, depth + 1, cp, cq, cr);
+    let child = walk(levels, scheme, depth + 1, cp, cq, cr)?;
+    let (cp, cq, cr) = (cp as u64, cq as u64, cr as u64);
     let mut acc = Counts {
-        base_gemms: rank * child.base_gemms,
-        peel_gemms: rank * child.peel_gemms,
-        temp_elements: rank * child.temp_elements + (lp.rank * cp * cr) as u64,
-        gemm_flops: rank * child.gemm_flops,
+        base_gemms: mul(rank, child.base_gemms)?,
+        peel_gemms: mul(rank, child.peel_gemms)?,
+        temp_elements: sum(&[mul(rank, child.temp_elements)?, mul(mul(rank, cp)?, cr)?])?,
+        gemm_flops: mul(rank, child.gemm_flops)?,
         workspace: 0,
     };
 
     // Fix-up strips in run_node order: C11 += A12·B21, C12, C21, C22.
     if dq > 0 {
-        acc.strip(p1, dq, r1);
+        acc.strip(p1, dq, r1)?;
     }
     if dr > 0 {
-        acc.strip(p1, q1, dr);
+        acc.strip(p1, q1, dr)?;
         if dq > 0 {
-            acc.strip(p1, dq, dr);
+            acc.strip(p1, dq, dr)?;
         }
     }
     if dp > 0 {
-        acc.strip(dp, q1, r1);
+        acc.strip(dp, q1, r1)?;
         if dq > 0 {
-            acc.strip(dp, dq, r1);
+            acc.strip(dp, dq, r1)?;
         }
     }
     if dp > 0 && dr > 0 {
-        acc.strip(dp, q1, dr);
+        acc.strip(dp, q1, dr)?;
         if dq > 0 {
-            acc.strip(dp, dq, dr);
+            acc.strip(dp, dq, dr)?;
         }
     }
 
@@ -131,53 +153,64 @@ fn walk<T: GemmScalar>(
     // CSE temporaries, per-multiplication S/T operands (skipping
     // passthroughs), the rank M_r products, and the child region —
     // replicated per child when children run concurrently.
-    let (s_size, t_size, m_size) = (cp * cq, cq * T::K_PACK * cr, cp * cr);
-    let ut_len = lp.u_temp_count() * s_size;
-    let vt_len = lp.v_temp_count() * t_size;
-    let st_len: usize = (0..lp.rank)
-        .map(|i| {
-            let (u_pass, v_pass) = lp.passthrough(i);
-            (if u_pass { 0 } else { s_size }) + (if v_pass { 0 } else { t_size })
-        })
-        .sum();
+    let s_size = mul(cp, cq)?;
+    let t_size = mul(mul(cq, T::K_PACK as u64)?, cr)?;
+    let m_size = mul(cp, cr)?;
+    let ut_len = mul(lp.u_temp_count() as u64, s_size)?;
+    let vt_len = mul(lp.v_temp_count() as u64, t_size)?;
+    let st_len = (0..lp.rank).try_fold(0, |len, i| {
+        let (u_pass, v_pass) = lp.passthrough(i);
+        let s = if u_pass { 0 } else { s_size };
+        let t = if v_pass { 0 } else { t_size };
+        sum(&[len, s, t])
+    })?;
     let children = if scheme.concurrent_children() {
-        lp.rank * child.workspace
+        mul(rank, child.workspace)?
     } else {
         child.workspace
     };
-    acc.workspace = ut_len + vt_len + lp.rank * m_size + st_len + children;
-    acc
+    acc.workspace = sum(&[ut_len, vt_len, mul(rank, m_size)?, st_len, children])?;
+    Ok(acc)
 }
 
 /// Padded dimensions under [`BorderHandling::Padding`]: each axis
 /// rounded up to the full per-level product so no level ever peels.
-fn padded_dims<T>(levels: &[LevelPlan<T>], p: usize, q: usize, r: usize) -> (usize, usize, usize) {
-    let mprod: usize = levels.iter().map(|l| l.m).product();
-    let kprod: usize = levels.iter().map(|l| l.k).product();
-    let nprod: usize = levels.iter().map(|l| l.n).product();
-    (
-        p.div_ceil(mprod) * mprod,
-        q.div_ceil(kprod) * kprod,
-        r.div_ceil(nprod) * nprod,
-    )
+fn padded_dims<T>(
+    levels: &[LevelPlan<T>],
+    p: usize,
+    q: usize,
+    r: usize,
+) -> Result<(usize, usize, usize), PlanError> {
+    let pad = |dim: usize, base: fn(&LevelPlan<T>) -> usize| {
+        let prod = levels
+            .iter()
+            .try_fold(1, |acc: usize, l| acc.checked_mul(base(l)));
+        prod.and_then(|prod| dim.div_ceil(prod).checked_mul(prod))
+            .ok_or(PlanError::ShapeOverflow)
+    };
+    Ok((pad(p, |l| l.m)?, pad(q, |l| l.k)?, pad(r, |l| l.n)?))
 }
 
 /// Compute the certificate for a level schedule on `shape` under
-/// `opts`. This is the backing implementation of
-/// [`crate::Plan::certificate`].
+/// `opts`, or [`PlanError::ShapeOverflow`] when a count does not fit in
+/// `u64` (or the workspace in `usize`). [`crate::Planner::plan`] derives
+/// it once; [`crate::Plan::certificate`] returns it.
 pub(crate) fn derive_certificate<T: GemmScalar>(
     levels: &[LevelPlan<T>],
     opts: &Options,
     shape: (usize, usize, usize),
-) -> PlanCertificate {
+) -> Result<PlanCertificate, PlanError> {
     let (p, q, r) = shape;
-    let mut pad_temps = 0u64;
-    let mut pad_ws = 0usize;
+    let mut pad = 0u64;
     let (ep, eq, er) = if opts.border == BorderHandling::Padding && !levels.is_empty() {
-        let (pp, qq, rr) = padded_dims(levels, p, q, r);
+        let (pp, qq, rr) = padded_dims(levels, p, q, r)?;
         if (pp, qq, rr) != (p, q, r) {
-            pad_ws = pp * qq + qq * T::K_PACK * rr + pp * rr;
-            pad_temps = pad_ws as u64;
+            let (up, uq, ur) = (pp as u64, qq as u64, rr as u64);
+            pad = sum(&[
+                mul(up, uq)?,
+                mul(mul(uq, T::K_PACK as u64)?, ur)?,
+                mul(up, ur)?,
+            ])?;
             (pp, qq, rr)
         } else {
             (p, q, r)
@@ -185,15 +218,18 @@ pub(crate) fn derive_certificate<T: GemmScalar>(
     } else {
         (p, q, r)
     };
-    let counts = walk(levels, opts.scheme, 0, ep, eq, er);
-    PlanCertificate {
+    let counts = walk(levels, opts.scheme, 0, ep, eq, er)?;
+    let workspace = sum(&[counts.workspace, pad])?;
+    Ok(PlanCertificate {
         shape,
         depth: levels.len(),
-        composed_rank: levels.iter().map(|l| l.rank as u64).product(),
+        composed_rank: levels
+            .iter()
+            .try_fold(1, |acc, l| mul(acc, l.rank as u64))?,
         base_gemms: counts.base_gemms,
         peel_gemms: counts.peel_gemms,
-        temp_elements: counts.temp_elements + pad_temps,
-        workspace_len: counts.workspace + pad_ws,
+        temp_elements: sum(&[counts.temp_elements, pad])?,
+        workspace_len: usize::try_from(workspace).map_err(|_| PlanError::ShapeOverflow)?,
         gemm_flops: counts.gemm_flops,
-    }
+    })
 }

@@ -11,10 +11,10 @@
 //! * it owns an `fmm-runtime` thread pool, so every multiply — sync or
 //!   submitted — runs at a fixed, configured width regardless of which
 //!   client thread asked;
-//! * a bounded **LRU plan cache** keyed by `(shape, Options, pool
-//!   width)` auto-plans through [`fmm_algo::candidates_for_shape`] on a
-//!   miss, so the first request for a shape pays for planning and every
-//!   later one reuses the resolved [`Plan`];
+//! * a bounded **LRU plan cache** keyed by shape auto-plans through
+//!   [`fmm_algo::candidates_for_shape`] on a miss, so the first request
+//!   for a shape pays for planning and every later one reuses the
+//!   resolved [`Plan`];
 //! * a **workspace pool** checks [`Workspace`] arenas in and out around
 //!   each execution, so steady-state serving performs no arena
 //!   allocation (asserted by [`EngineStats::workspaces_reused`]);
@@ -116,11 +116,9 @@ enum AlgSource {
 pub struct EngineBuilder<T = f64> {
     threads: Option<usize>,
     cache_capacity: usize,
-    max_pooled_workspaces: Option<usize>,
     max_pooled_workspace_len: Option<usize>,
     options: Option<Options>,
     steps: Option<usize>,
-    max_steps: usize,
     profile: Option<GemmProfile>,
     alg: AlgSource,
     _dtype: std::marker::PhantomData<T>,
@@ -139,11 +137,9 @@ impl<T: GemmScalar> EngineBuilder<T> {
         EngineBuilder {
             threads: None,
             cache_capacity: 64,
-            max_pooled_workspaces: None,
             max_pooled_workspace_len: None,
             options: None,
             steps: None,
-            max_steps: 4,
             profile: None,
             alg: AlgSource::Catalog,
             _dtype: std::marker::PhantomData,
@@ -165,19 +161,11 @@ impl<T: GemmScalar> EngineBuilder<T> {
         self
     }
 
-    /// Cap on idle pooled workspaces (default `2 × width + 2`). Excess
-    /// arenas returned at check-in are dropped instead of pooled.
-    #[must_use]
-    pub fn max_pooled_workspaces(mut self, max: usize) -> Self {
-        self.max_pooled_workspaces = Some(max);
-        self
-    }
-
     /// Cap, in f64 elements, on the size of an arena the pool will
     /// retain (default unbounded). Arenas grow monotonically to the
     /// largest plan they ever served, so a long-lived engine that sees
-    /// one burst of huge multiplies would otherwise pin
-    /// `max_pooled_workspaces` maximum-sized arenas forever; with a
+    /// one burst of huge multiplies would otherwise pin up to
+    /// `2 × width + 2` maximum-sized arenas forever; with a
     /// cap, oversized arenas are dropped at check-in and recreated
     /// right-sized when needed again.
     #[must_use]
@@ -201,13 +189,6 @@ impl<T: GemmScalar> EngineBuilder<T> {
     #[must_use]
     pub fn steps(mut self, steps: usize) -> Self {
         self.steps = Some(steps);
-        self
-    }
-
-    /// Cap on the profile-recommended depth (default 4).
-    #[must_use]
-    pub fn max_steps(mut self, max_steps: usize) -> Self {
-        self.max_steps = max_steps;
         self
     }
 
@@ -259,12 +240,10 @@ impl<T: GemmScalar> EngineBuilder<T> {
                 width,
                 base_opts,
                 steps: self.steps,
-                max_steps: self.max_steps,
                 profile: self.profile,
                 alg: self.alg,
                 cache: Mutex::new(PlanCache::new(self.cache_capacity)),
                 workspaces: Mutex::new(Vec::new()),
-                max_pooled_workspaces: self.max_pooled_workspaces.unwrap_or(2 * width + 2),
                 max_pooled_workspace_len: self.max_pooled_workspace_len.unwrap_or(usize::MAX),
                 counters: Counters::default(),
                 hists: fmm_trace::HistogramSet::new(),
@@ -273,16 +252,10 @@ impl<T: GemmScalar> EngineBuilder<T> {
     }
 }
 
-/// Key of one cached plan: the problem shape plus everything else that
-/// can vary between one engine's plans (strategy options and the pool
-/// width the plan will execute at). The requested depth is fixed per
+/// Key of one cached plan: the problem shape. Everything else a plan
+/// depends on (options, pool width, requested depth) is fixed per
 /// engine, so it needs no slot.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-struct PlanKey {
-    shape: (usize, usize, usize),
-    opts: Options,
-    width: usize,
-}
+type PlanKey = (usize, usize, usize);
 
 /// Bounded LRU: a map from key to `(plan, last-use tick)`. Capacities
 /// are small (tens of shapes), so eviction scans for the minimum tick
@@ -414,31 +387,21 @@ struct EngineInner<T> {
     width: usize,
     base_opts: Options,
     steps: Option<usize>,
-    max_steps: usize,
     profile: Option<GemmProfile>,
     alg: AlgSource,
     cache: Mutex<PlanCache<T>>,
     workspaces: Mutex<Vec<Workspace<T>>>,
-    max_pooled_workspaces: usize,
     max_pooled_workspace_len: usize,
     counters: Counters,
     hists: fmm_trace::HistogramSet,
 }
 
 impl<T: GemmScalar> EngineInner<T> {
-    fn key_for(&self, m: usize, k: usize, n: usize) -> PlanKey {
-        PlanKey {
-            shape: (m, k, n),
-            opts: self.base_opts,
-            width: self.width,
-        }
-    }
-
     /// Cached plan for a shape, planning on miss. Planning runs outside
     /// the cache lock, so a concurrent first request for the same shape
     /// may plan twice (both misses counted); the later insert wins.
     fn plan_for(&self, m: usize, k: usize, n: usize) -> Result<Arc<Plan<T>>, EngineError> {
-        let key = self.key_for(m, k, n);
+        let key = (m, k, n);
         if let Some(plan) = self.cache.lock().unwrap().get(&key) {
             self.counters
                 .plan_cache_hits
@@ -459,10 +422,7 @@ impl<T: GemmScalar> EngineInner<T> {
     }
 
     fn build_plan(&self, m: usize, k: usize, n: usize) -> Result<Plan<T>, EngineError> {
-        let mut planner = Planner::new()
-            .shape(m, k, n)
-            .options(self.base_opts)
-            .max_steps(self.max_steps);
+        let mut planner = Planner::new().shape(m, k, n).options(self.base_opts);
         let catalog_decs: Vec<Decomposition>;
         let schedule_refs: Vec<&Decomposition>;
         match &self.alg {
@@ -507,7 +467,7 @@ impl<T: GemmScalar> EngineInner<T> {
             return;
         }
         let mut pool = self.workspaces.lock().unwrap();
-        if pool.len() < self.max_pooled_workspaces {
+        if pool.len() < 2 * self.width + 2 {
             pool.push(ws);
         }
     }

@@ -3,17 +3,25 @@
 //! Given a schedule of verified decompositions (one per recursion
 //! level — a uniform algorithm is a schedule of `L` copies; the
 //! composed ⟨54,54,54⟩ algorithm of §5.2 is a schedule of three
-//! different ones), the executor:
+//! different ones), every recursion node takes one fast step:
 //!
-//! 1. splits off dynamic-peeling strips so arbitrary dimensions work
-//!    (§3.5),
-//! 2. forms the `S_r`/`T_r` linear combinations with the configured
-//!    addition strategy (§3.2) and optional CSE temporaries (§3.3),
-//!    piping singleton-column scales through to the output combination
-//!    instead of materializing a temporary (§3.1),
-//! 3. recursively multiplies `M_r = S_r · T_r`, switching among
-//!    sequential, DFS, BFS and HYBRID parallel schemes (§4), and
-//! 4. combines the `M_r` into `C` with the rows of `W`.
+//! 1. it forms the `S_r`/`T_r` linear combinations with the configured
+//!    addition method (§3.2) and optional CSE temporaries (§3.3); a
+//!    singleton column reads its source block in place, with its scale
+//!    folded into `W` at plan time (§3.1);
+//! 2. it multiplies `M_r = S_r · T_r` recursively, running the children
+//!    in turn or as tasks by parallel scheme (§4);
+//! 3. it combines the `M_r` into `C` with the rows of `W`;
+//! 4. it fixes up the dynamic-peeling strips (§3.5) with classical
+//!    gemms, so arbitrary dimensions work.
+//!
+//! Each of these is written once. Every linear combination — CSE
+//! temporaries, operands and the output combine — goes through one
+//! addition routine, [`form`], over chains whose source indices and
+//! coefficients were resolved at plan time. One child loop recurses,
+//! either in a plain loop or inside one `rayon::scope`. One loop over
+//! the 2×2 core/strip blocks of `C` issues the peel gemms, and leaves
+//! and strips share one counted, traced gemm call.
 //!
 //! The whole recursion is generic over the element type
 //! ([`fmm_gemm::GemmScalar`]): decomposition coefficients are injected
@@ -26,15 +34,17 @@
 //!
 //! # Memory model
 //!
-//! The executor never allocates temporaries itself: every S/T/M buffer,
-//! every CSE temporary, and the padding copies are carved out of a flat
-//! `&mut [T]` workspace whose exact size is computed by walking the
-//! recursion tree once ([`required_workspace`]). The [`crate::Plan`] API
-//! computes that size at plan time and reuses a [`crate::Workspace`]
-//! across executes, so the hot path allocates nothing. Under the
-//! BFS/HYBRID schemes each spawned task receives a disjoint slice of the
-//! workspace, which makes the §4.2 memory growth factor explicit in
-//! [`crate::Plan::workspace_len`].
+//! Every S/T/M buffer, every CSE temporary and the padding copies are
+//! carved out of a flat `&mut [T]` workspace whose exact size is
+//! computed by walking the recursion tree once ([`required_workspace`]).
+//! The [`crate::Plan`] API computes that size at plan time and reuses a
+//! [`crate::Workspace`] across executes, so a warm execute grows no
+//! buffer, which [`ExecStatsSnapshot::workspace_reused`] reports. Small
+//! bookkeeping still allocates on every execute: each node's term lists
+//! for the addition kernels and its split of `C` into blocks, and the
+//! base gemm's pack buffers. Under the BFS/HYBRID schemes each spawned
+//! task receives a disjoint slice of the workspace, which makes the
+//! §4.2 memory growth factor explicit in [`crate::Plan::workspace_len`].
 
 use crate::plan::{output_plan, side_plan, SidePlan, Var};
 use crate::planner::PlanError;
@@ -43,6 +53,7 @@ use fmm_matrix::kernels;
 use fmm_matrix::partition::{Grid, PeelSplit};
 use fmm_matrix::{MatMut, MatRef, Scalar};
 use fmm_tensor::Decomposition;
+use fmm_trace::SpanKind;
 
 /// How the bandwidth-bound addition chains are evaluated (§3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -109,8 +120,7 @@ impl Scheme {
 ///
 /// The recursion depth is not an option: [`crate::Planner::steps`],
 /// the §3.4 rule or the schedule length sets it. `Eq`/`Hash` make a
-/// whole configuration usable as a cache key, which is how
-/// [`crate::FmmEngine`] indexes its plan cache.
+/// whole configuration usable as a cache key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Options {
     /// Addition-chain evaluation strategy.
@@ -127,24 +137,23 @@ pub struct Options {
 /// [`crate::Plan::execute_with_stats`]: used by the tests to verify
 /// the `R^L` leaf count and by the memory discussion of §4.2.
 #[derive(Debug, Default)]
-pub struct ExecStats {
+pub(crate) struct ExecStats {
     /// Base-case gemm calls (the "active multiplications").
-    pub base_gemms: std::sync::atomic::AtomicU64,
+    base_gemms: std::sync::atomic::AtomicU64,
     /// Classical fix-up products issued by dynamic peeling.
-    pub peel_gemms: std::sync::atomic::AtomicU64,
+    peel_gemms: std::sync::atomic::AtomicU64,
     /// Total scalar elements checked out of the workspace for S/T/M
     /// temporaries and padding copies.
-    pub temp_elements: std::sync::atomic::AtomicU64,
+    temp_elements: std::sync::atomic::AtomicU64,
     /// Bitmask of pool workers that executed at least one gemm during
     /// this run (bit 63 stands for any non-worker thread). Feeds
     /// [`ExecStatsSnapshot::threads_used`].
-    pub thread_mask: std::sync::atomic::AtomicU64,
+    thread_mask: std::sync::atomic::AtomicU64,
 }
 
-/// Plain snapshot of [`ExecStats`]. Serializable
-/// ([`ExecStatsSnapshot::to_json`]/[`ExecStatsSnapshot::from_json`])
-/// so per-run execution statistics can cross a process boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+/// Plain snapshot of the statistics of one
+/// [`crate::Plan::execute_with_stats`] run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecStatsSnapshot {
     /// Base-case gemm calls.
     pub base_gemms: u64,
@@ -171,19 +180,6 @@ pub struct ExecStatsSnapshot {
     pub tasks_stolen: u64,
 }
 
-impl ExecStatsSnapshot {
-    /// Serialize as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("snapshot serialization is infallible")
-    }
-
-    /// Parse a snapshot previously produced by
-    /// [`ExecStatsSnapshot::to_json`].
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|e| e.to_string())
-    }
-}
-
 impl ExecStats {
     pub(crate) fn snapshot(
         &self,
@@ -204,43 +200,76 @@ impl ExecStats {
     }
 }
 
-/// One side's addition chains with coefficients already injected into
-/// the target scalar type (the typed twin of [`SidePlan`]).
-pub(crate) struct TypedSide<T> {
-    pub(crate) temps: Vec<Vec<(Var, T)>>,
-    pub(crate) chains: Vec<Vec<(Var, T)>>,
-    pub(crate) passthrough: Vec<Option<(usize, T)>>,
-}
+/// A linear combination `Σ c·src_j` over source indices `j`.
+type Chain<T> = Vec<(usize, T)>;
 
-fn typed_chain<T: Scalar>(chain: &[(Var, f64)]) -> Result<Vec<(Var, T)>, f64> {
-    chain
-        .iter()
-        .map(|&(v, c)| T::from_coeff(c).map(|tc| (v, tc)).ok_or(c))
+/// Inject a chain's coefficients into `T`; `Err` carries the first
+/// coefficient `T` rejects.
+fn inject<T: Scalar>(terms: impl IntoIterator<Item = (usize, f64)>) -> Result<Chain<T>, f64> {
+    terms
+        .into_iter()
+        .map(|(j, c)| T::from_coeff(c).map(|tc| (j, tc)).ok_or(c))
         .collect()
 }
 
-impl<T: Scalar> TypedSide<T> {
-    fn try_from(plan: &SidePlan) -> Result<Self, f64> {
-        Ok(TypedSide {
+/// One side's chains (U ⇒ every `S_r`, V ⇒ every `T_r`) in the element
+/// type, each [`Var`] resolved to a source index: the operand's grid
+/// blocks in row-major order come first, then the side's CSE
+/// temporaries.
+struct Side<T> {
+    /// CSE temporaries in evaluation order; each reads blocks and
+    /// earlier temporaries.
+    temps: Vec<Chain<T>>,
+    /// `chains[r]` forms `S_r` (or `T_r`).
+    chains: Vec<Chain<T>>,
+    /// `Some(j)` when `chains[r]` is the single block `j`: the operand
+    /// reads that block in place and its scale is folded into `W`
+    /// (§3.1).
+    passthrough: Vec<Option<usize>>,
+}
+
+impl<T: Scalar> Side<T> {
+    /// Inject `plan` with every term resolved to its source index:
+    /// temporaries first, then chains, the order in which a rejected
+    /// coefficient is reported.
+    fn try_new(plan: &SidePlan, blocks: usize) -> Result<Self, f64> {
+        let resolve = |chain: &[(Var, f64)]| {
+            inject(chain.iter().map(|&(v, c)| match v {
+                Var::Block(b) => (b, c),
+                Var::Temp(t) => (blocks + t, c),
+            }))
+        };
+        Ok(Side {
             temps: plan
                 .temps
                 .iter()
-                .map(|t| typed_chain(t))
+                .map(|t| resolve(t))
                 .collect::<Result<_, _>>()?,
             chains: plan
                 .chains
                 .iter()
-                .map(|c| typed_chain(c))
+                .map(|c| resolve(c))
                 .collect::<Result<_, _>>()?,
-            passthrough: plan
-                .passthrough
-                .iter()
-                .map(|p| match p {
-                    Some((b, c)) => T::from_coeff(*c).map(|tc| Some((*b, tc))).ok_or(*c),
-                    None => Ok(None),
-                })
-                .collect::<Result<_, _>>()?,
+            passthrough: plan.passthrough.iter().map(|p| p.map(|(b, _)| b)).collect(),
         })
+    }
+
+    /// The scale operand `r` carries into `W`: its coefficient for a
+    /// passthrough, one otherwise.
+    fn scale(&self, r: usize) -> T {
+        match self.passthrough[r] {
+            Some(_) => self.chains[r][0].1,
+            None => T::ONE,
+        }
+    }
+
+    /// The chains formed into workspace buffers, in `r` order.
+    fn formed(&self) -> impl Iterator<Item = &[(usize, T)]> + Clone {
+        self.chains
+            .iter()
+            .zip(&self.passthrough)
+            .filter(|(_, p)| p.is_none())
+            .map(|(c, _)| c.as_slice())
     }
 }
 
@@ -249,54 +278,58 @@ pub(crate) struct LevelPlan<T> {
     pub(crate) m: usize,
     pub(crate) k: usize,
     pub(crate) n: usize,
-    uplan: TypedSide<T>,
-    vplan: TypedSide<T>,
-    wplan: Vec<Vec<(usize, T)>>,
+    u: Side<T>,
+    v: Side<T>,
+    /// One chain per output block `C_ij` over the products `M_r`, with
+    /// the passthrough scales folded in as `w·(s_r·t_r)`.
+    w: Vec<Chain<T>>,
     pub(crate) rank: usize,
 }
 
 impl<T: Scalar> LevelPlan<T> {
     /// Build the level plan, injecting every coefficient through
     /// [`Scalar::from_coeff`]. `Err` carries the first coefficient the
-    /// scalar type rejected — impossible for the float types, the
-    /// designed failure mode for non-field semirings.
+    /// scalar type rejected, looking at W, then U, then V — impossible
+    /// for the float types, the designed failure mode for non-field
+    /// semirings.
     pub(crate) fn try_new(dec: &Decomposition, cse: bool) -> Result<Self, f64> {
         const TOL: f64 = 1e-14;
-        let wplan = output_plan(&dec.w, TOL)
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .map(|&(r, c)| T::from_coeff(c).map(|tc| (r, tc)).ok_or(c))
-                    .collect::<Result<Vec<_>, f64>>()
-            })
-            .collect::<Result<_, _>>()?;
+        let mut w = output_plan(&dec.w, TOL)
+            .into_iter()
+            .map(inject)
+            .collect::<Result<Vec<Chain<T>>, f64>>()?;
+        let u = Side::try_new(&side_plan(&dec.u, cse, TOL), dec.m * dec.k)?;
+        let v = Side::try_new(&side_plan(&dec.v, cse, TOL), dec.k * dec.n)?;
+        for (r, c) in w.iter_mut().flatten() {
+            *c *= u.scale(*r) * v.scale(*r);
+        }
         Ok(LevelPlan {
             m: dec.m,
             k: dec.k,
             n: dec.n,
-            uplan: TypedSide::try_from(&side_plan(&dec.u, cse, TOL))?,
-            vplan: TypedSide::try_from(&side_plan(&dec.v, cse, TOL))?,
-            wplan,
+            u,
+            v,
+            w,
             rank: dec.rank(),
         })
     }
 
     /// Number of U-side CSE temporaries (certificate audit).
     pub(crate) fn u_temp_count(&self) -> usize {
-        self.uplan.temps.len()
+        self.u.temps.len()
     }
 
     /// Number of V-side CSE temporaries (certificate audit).
     pub(crate) fn v_temp_count(&self) -> usize {
-        self.vplan.temps.len()
+        self.v.temps.len()
     }
 
     /// Whether multiplication `r` reads its S/T operand directly from a
     /// source block (passthrough) instead of a workspace temporary.
     pub(crate) fn passthrough(&self, r: usize) -> (bool, bool) {
         (
-            self.uplan.passthrough[r].is_some(),
-            self.vplan.passthrough[r].is_some(),
+            self.u.passthrough[r].is_some(),
+            self.v.passthrough[r].is_some(),
         )
     }
 }
@@ -365,12 +398,12 @@ impl NodeLayout {
         let t_size = mul(mul(cq, T::K_PACK)?, cr)?;
         let m_size = mul(cp, cr)?;
         let st_len = (0..lp.rank).try_fold(0, |len, i| {
-            let s = if lp.uplan.passthrough[i].is_none() {
+            let s = if lp.u.passthrough[i].is_none() {
                 s_size
             } else {
                 0
             };
-            let t = if lp.vplan.passthrough[i].is_none() {
+            let t = if lp.v.passthrough[i].is_none() {
                 t_size
             } else {
                 0
@@ -388,8 +421,8 @@ impl NodeLayout {
             s_size,
             t_size,
             m_size,
-            ut_len: mul(lp.uplan.temps.len(), s_size)?,
-            vt_len: mul(lp.vplan.temps.len(), t_size)?,
+            ut_len: mul(lp.u.temps.len(), s_size)?,
+            vt_len: mul(lp.v.temps.len(), t_size)?,
             ms_len: mul(lp.rank, m_size)?,
             st_len,
             child_len,
@@ -478,11 +511,14 @@ pub(crate) fn execute_on<T: GemmScalar>(
     assert_eq!(a.cols() * T::K_PACK, b.rows(), "inner dimension mismatch");
     assert_eq!(c.rows(), a.rows(), "output rows mismatch");
     assert_eq!(c.cols(), b.cols(), "output cols mismatch");
-    let total_leaves: u64 = levels.iter().map(|l| l.rank as u64).product();
-    let threads = rayon::current_num_threads() as u64;
     let threshold = match opts.scheme {
-        Scheme::Hybrid => total_leaves - (total_leaves % threads.max(1)),
-        _ => u64::MAX,
+        Scheme::Sequential | Scheme::Bfs => u64::MAX,
+        Scheme::Dfs => 0,
+        Scheme::Hybrid => {
+            let total_leaves: u64 = levels.iter().map(|l| l.rank as u64).product();
+            let threads = rayon::current_num_threads() as u64;
+            total_leaves - (total_leaves % threads.max(1))
+        }
     };
     let ctx = Ctx {
         levels,
@@ -540,6 +576,9 @@ struct Ctx<'p, T> {
     levels: &'p [LevelPlan<T>],
     additions: AdditionMethod,
     scheme: Scheme,
+    /// Index of the first leaf whose gemm uses all threads: 0 under
+    /// DFS, `R^L − (R^L mod P)` under HYBRID (§4.3), none under
+    /// Sequential and BFS.
     threshold: u64,
     stats: Option<&'p ExecStats>,
     trace: bool,
@@ -576,8 +615,9 @@ impl<T: GemmScalar> Ctx<'_, T> {
             .product()
     }
 
-    /// Should additions at this depth use all threads?
-    fn par_adds(&self, depth: usize) -> bool {
+    /// Should the additions and peel strips of a node at this depth use
+    /// all threads?
+    fn par_at(&self, depth: usize) -> bool {
         match self.scheme {
             Scheme::Sequential => false,
             Scheme::Dfs => true,
@@ -586,63 +626,37 @@ impl<T: GemmScalar> Ctx<'_, T> {
         }
     }
 
-    /// Base-case gemm for the leaf with global index `leaf`.
-    fn leaf_gemm(
+    /// One counted, traced classical product `C = A·B + β·C`: a leaf of
+    /// the recursion ([`SpanKind::BaseGemm`]) or a peel strip
+    /// ([`SpanKind::PeelGemm`]), on all threads when `par`.
+    fn gemm(
         &self,
-        leaf: u64,
-        alpha: T,
+        kind: SpanKind,
+        par: bool,
         a: MatRef<'_, T>,
         b: MatRef<'_, T>,
         beta: T,
         c: MatMut<'_, T>,
     ) {
-        self.count(|s| &s.base_gemms, 1);
-        self.mark_thread();
-        let flops = (a.rows() * b.rows() * b.cols()) as u64;
-        let t_span = fmm_trace::now_if(self.trace);
-        match self.scheme {
-            Scheme::Sequential | Scheme::Bfs => gemm(alpha, a, b, beta, c),
-            Scheme::Dfs => par_gemm(alpha, a, b, beta, c),
-            Scheme::Hybrid => {
-                if leaf >= self.threshold {
-                    par_gemm(alpha, a, b, beta, c)
-                } else {
-                    gemm(alpha, a, b, beta, c)
-                }
-            }
-        }
-        fmm_trace::span_end(fmm_trace::SpanKind::BaseGemm, t_span, flops);
-    }
-
-    /// Gemm used for peel strips at `depth`.
-    fn strip_gemm(
-        &self,
-        depth: usize,
-        alpha: T,
-        a: MatRef<'_, T>,
-        b: MatRef<'_, T>,
-        beta: T,
-        c: MatMut<'_, T>,
-    ) {
-        self.count(|s| &s.peel_gemms, 1);
-        self.mark_thread();
-        let flops = (a.rows() * b.rows() * b.cols()) as u64;
-        let t_span = fmm_trace::now_if(self.trace);
-        let par = match self.scheme {
-            Scheme::Sequential => false,
-            Scheme::Dfs => true,
-            Scheme::Bfs | Scheme::Hybrid => depth == 0,
-        };
-        if par {
-            par_gemm(alpha, a, b, beta, c)
+        if kind == SpanKind::BaseGemm {
+            self.count(|s| &s.base_gemms, 1);
         } else {
-            gemm(alpha, a, b, beta, c)
+            self.count(|s| &s.peel_gemms, 1);
         }
-        fmm_trace::span_end(fmm_trace::SpanKind::PeelGemm, t_span, flops);
+        self.mark_thread();
+        let flops = (a.rows() * b.rows() * b.cols()) as u64;
+        let t_span = fmm_trace::now_if(self.trace);
+        if par {
+            par_gemm(T::ONE, a, b, beta, c)
+        } else {
+            gemm(T::ONE, a, b, beta, c)
+        }
+        fmm_trace::span_end(kind, t_span, flops);
     }
 }
 
-/// Recursive driver: peel, then run the fast step on the divisible core.
+/// Recursive driver: the fast step on the divisible core, then the
+/// peel fix-ups.
 fn run_node<T: GemmScalar>(
     ctx: &Ctx<'_, T>,
     depth: usize,
@@ -658,323 +672,242 @@ fn run_node<T: GemmScalar>(
     else {
         // Recursion exhausted, or the core is smaller than the base
         // case: one classical product.
-        ctx.leaf_gemm(leaf_lo, T::ONE, a, b, T::ZERO, c);
+        ctx.gemm(
+            SpanKind::BaseGemm,
+            leaf_lo >= ctx.threshold,
+            a,
+            b,
+            T::ZERO,
+            c,
+        );
         return;
     };
-    let peel = layout.peel;
-    let (p1, q1, r1) = (peel.p1, peel.q1, peel.r1);
-    let (dp, dq, dr) = (peel.dp, peel.dq, peel.dr);
-    // B's rows for A's core and strip columns.
-    let (bq1, bdq) = (q1 * T::K_PACK, dq * T::K_PACK);
-
-    let a11 = a.block(0, 0, p1, q1);
-    let b11 = b.block(0, 0, bq1, r1);
-
-    // Fast multiplication on the divisible core, then the thin
-    // dynamic-peeling fix-up products (§3.5). Sequential mutable
-    // reborrows of C keep exclusive access sound.
+    let PeelSplit {
+        p1,
+        q1,
+        r1,
+        dp,
+        dq,
+        dr,
+    } = layout.peel;
     fast_step(
         ctx,
         depth,
         leaf_lo,
-        a11,
-        b11,
+        a.block(0, 0, p1, q1),
+        b.block(0, 0, q1 * T::K_PACK, r1),
         c.reborrow().into_block(0, 0, p1, r1),
         &layout,
         ws,
     );
 
-    if dq > 0 {
-        // C11 += A12·B21
-        let a12 = a.block(0, q1, p1, dq);
-        let b21 = b.block(bq1, 0, bdq, r1);
-        ctx.strip_gemm(
-            depth,
-            T::ONE,
-            a12,
-            b21,
-            T::ONE,
-            c.reborrow().into_block(0, 0, p1, r1),
-        );
-    }
-    if dr > 0 {
-        // C12 = A11·B12 + A12·B22
-        let b12 = b.block(0, r1, bq1, dr);
-        ctx.strip_gemm(
-            depth,
-            T::ONE,
-            a11,
-            b12,
-            T::ZERO,
-            c.reborrow().into_block(0, r1, p1, dr),
-        );
-        if dq > 0 {
-            let a12 = a.block(0, q1, p1, dq);
-            let b22 = b.block(bq1, r1, bdq, dr);
-            ctx.strip_gemm(
-                depth,
-                T::ONE,
-                a12,
-                b22,
-                T::ONE,
-                c.reborrow().into_block(0, r1, p1, dr),
-            );
-        }
-    }
-    if dp > 0 {
-        // C21 = A21·B11 + A22·B21
-        let a21 = a.block(p1, 0, dp, q1);
-        ctx.strip_gemm(
-            depth,
-            T::ONE,
-            a21,
-            b11,
-            T::ZERO,
-            c.reborrow().into_block(p1, 0, dp, r1),
-        );
-        if dq > 0 {
-            let a22 = a.block(p1, q1, dp, dq);
-            let b21 = b.block(bq1, 0, bdq, r1);
-            ctx.strip_gemm(
-                depth,
-                T::ONE,
-                a22,
-                b21,
-                T::ONE,
-                c.reborrow().into_block(p1, 0, dp, r1),
-            );
-        }
-    }
-    if dp > 0 && dr > 0 {
-        // C22 = A21·B12 + A22·B22
-        let a21 = a.block(p1, 0, dp, q1);
-        let b12 = b.block(0, r1, bq1, dr);
-        ctx.strip_gemm(
-            depth,
-            T::ONE,
-            a21,
-            b12,
-            T::ZERO,
-            c.reborrow().into_block(p1, r1, dp, dr),
-        );
-        if dq > 0 {
-            let a22 = a.block(p1, q1, dp, dq);
-            let b22 = b.block(bq1, r1, bdq, dr);
-            ctx.strip_gemm(
-                depth,
-                T::ONE,
-                a22,
-                b22,
-                T::ONE,
-                c.reborrow().into_block(p1, r1, dp, dr),
-            );
-        }
-    }
-}
-
-/// Evaluate the CSE temporaries of one side into workspace slices
-/// carved from `buf`, returning a read view of each in evaluation
-/// order (a temp may reference earlier temps).
-fn eval_temps<'w, T: Scalar>(
-    temps: &[Vec<(Var, T)>],
-    grid: &Grid,
-    src: &MatRef<'w, T>,
-    par: bool,
-    buf: &'w mut [T],
-) -> Vec<MatRef<'w, T>> {
-    let size = grid.rs * grid.cs;
-    let mut done: Vec<MatRef<'w, T>> = Vec::with_capacity(temps.len());
-    let mut rest = buf;
-    for def in temps {
-        let (cur, tail) = rest.split_at_mut(size);
-        rest = tail;
-        {
-            let terms: Vec<(T, MatRef<'_, T>)> = def
-                .iter()
-                .map(|&(v, coef)| match v {
-                    Var::Block(bi) => (coef, grid.block(src, bi / grid.bc, bi % grid.bc)),
-                    Var::Temp(t) => (coef, done[t]),
-                })
-                .collect();
-            let out = MatMut::from_slice(&mut cur[..], grid.rs, grid.cs, grid.cs);
-            if par {
-                kernels::par_lincomb(out, T::ZERO, &terms);
-            } else {
-                kernels::lincomb(out, T::ZERO, &terms);
+    // Dynamic-peeling fix-ups (§3.5): C_ij = Σ_l A_il·B_lj over the 2×2
+    // core/strip blocks, in block order. The core block C11 already
+    // holds A11·B11, so it only adds A12·B21.
+    let par = ctx.par_at(depth);
+    let (rows, inner, cols) = (
+        [(0, p1), (p1, dp)],
+        [(0, q1), (q1, dq)],
+        [(0, r1), (r1, dr)],
+    );
+    for (i, &(i0, ni)) in rows.iter().enumerate() {
+        for (j, &(j0, nj)) in cols.iter().enumerate() {
+            for &(l0, nl) in &inner[usize::from(i + j == 0)..] {
+                if ni == 0 || nj == 0 || nl == 0 {
+                    continue;
+                }
+                let beta = if l0 == 0 { T::ZERO } else { T::ONE };
+                ctx.gemm(
+                    SpanKind::PeelGemm,
+                    par,
+                    a.block(i0, l0, ni, nl),
+                    b.block(l0 * T::K_PACK, j0, nl * T::K_PACK, nj),
+                    beta,
+                    c.reborrow().into_block(i0, j0, ni, nj),
+                );
             }
         }
-        done.push(MatRef::from_slice(cur, grid.rs, grid.cs, grid.cs));
     }
-    done
 }
 
-/// Carve the per-multiplication S/T buffers out of the node's operand
-/// region: one `s_size`/`t_size` slice per non-passthrough chain,
-/// `None` where the singleton-column optimization (§3.1) borrows the
-/// source block directly.
-#[allow(clippy::type_complexity)]
-fn carve_st<'w, T: Scalar>(
-    lp: &LevelPlan<T>,
-    layout: &NodeLayout,
-    st: &'w mut [T],
-) -> (Vec<Option<&'w mut [T]>>, Vec<Option<&'w mut [T]>>) {
-    let mut s: Vec<Option<&'w mut [T]>> = Vec::with_capacity(lp.rank);
-    let mut t: Vec<Option<&'w mut [T]>> = Vec::with_capacity(lp.rank);
-    let mut rest = st;
-    for i in 0..lp.rank {
-        if lp.uplan.passthrough[i].is_none() {
-            let (cur, tail) = rest.split_at_mut(layout.s_size);
-            rest = tail;
-            s.push(Some(cur));
-        } else {
-            s.push(None);
-        }
-        if lp.vplan.passthrough[i].is_none() {
-            let (cur, tail) = rest.split_at_mut(layout.t_size);
-            rest = tail;
-            t.push(Some(cur));
-        } else {
-            t.push(None);
-        }
-    }
-    (s, t)
-}
-
-/// Form one operand (`S_r` or `T_r`) with the write-once or pairwise
-/// strategy, returning `(view, scale)` — a borrowed scaled source block
-/// for singleton columns (§3.1) or a view of `buf` after evaluating the
-/// chain into it.
-#[allow(clippy::too_many_arguments)]
-fn form_operand<'x, T: Scalar>(
-    plan: &TypedSide<T>,
-    r: usize,
-    grid: &Grid,
-    src: &MatRef<'x, T>,
-    temps: &[MatRef<'x, T>],
+/// Form `dst_i = Σ c·src(j)` over each chain and its destination with
+/// one of the three addition methods (§3.2), on all threads when `par`:
+///
+/// * write-once: one `lincomb` per destination;
+/// * pairwise: a scaled copy of the first term, then one `axpy` per
+///   further term;
+/// * streaming: zero every destination, then one pass per source in
+///   source order, updating every destination whose chain reads it.
+fn form<'c, 's, T: Scalar>(
     method: AdditionMethod,
     par: bool,
-    buf: Option<&'x mut [T]>,
-) -> (MatRef<'x, T>, T) {
-    if let Some((bi, scale)) = plan.passthrough[r] {
-        return (grid.block(src, bi / grid.bc, bi % grid.bc), scale);
-    }
-    let buf = buf.expect("non-passthrough operand requires a workspace buffer");
-    let chain = &plan.chains[r];
-    let terms: Vec<(T, MatRef<'_, T>)> = chain
-        .iter()
-        .map(|&(v, coef)| match v {
-            Var::Block(bi) => (coef, grid.block(src, bi / grid.bc, bi % grid.bc)),
-            Var::Temp(t) => (coef, temps[t]),
-        })
-        .collect();
-    {
-        let mut out = MatMut::from_slice(&mut buf[..], grid.rs, grid.cs, grid.cs);
-        match method {
-            AdditionMethod::Pairwise => {
-                // daxpy-chain: initial scaled copy then one axpy per term.
-                let (c0, s0) = terms[0];
+    src: &impl Fn(usize) -> MatRef<'s, T>,
+    chains: impl Iterator<Item = &'c [(usize, T)]> + Clone,
+    dsts: &mut [MatMut<'_, T>],
+) {
+    match method {
+        AdditionMethod::WriteOnce => {
+            let mut terms = Vec::new();
+            for (chain, dst) in chains.zip(dsts) {
+                terms.clear();
+                terms.extend(chain.iter().map(|&(j, c)| (c, src(j))));
                 if par {
-                    kernels::par_copy(out.reborrow(), s0);
-                    if c0 != T::ONE {
-                        kernels::scale(out.reborrow(), c0);
-                    }
-                    for &(cf, sv) in &terms[1..] {
-                        kernels::par_axpy(out.reborrow(), cf, sv);
+                    kernels::par_lincomb(dst.reborrow(), T::ZERO, &terms);
+                } else {
+                    kernels::lincomb(dst.reborrow(), T::ZERO, &terms);
+                }
+            }
+        }
+        AdditionMethod::Pairwise => {
+            for (chain, dst) in chains.zip(dsts) {
+                let Some((&(j0, c0), rest)) = chain.split_first() else {
+                    dst.fill(T::ZERO);
+                    continue;
+                };
+                if par {
+                    kernels::par_copy(dst.reborrow(), src(j0));
+                    kernels::scale(dst.reborrow(), c0);
+                    for &(j, c) in rest {
+                        kernels::par_axpy(dst.reborrow(), c, src(j));
                     }
                 } else {
-                    kernels::copy_scaled(out.reborrow(), c0, s0);
-                    for &(cf, sv) in &terms[1..] {
-                        kernels::axpy(out.reborrow(), cf, sv);
+                    kernels::copy_scaled(dst.reborrow(), c0, src(j0));
+                    for &(j, c) in rest {
+                        kernels::axpy(dst.reborrow(), c, src(j));
                     }
                 }
             }
-            AdditionMethod::WriteOnce | AdditionMethod::Streaming => {
+        }
+        AdditionMethod::Streaming => {
+            // The workspace may hold stale values; streaming
+            // accumulates, so every destination starts from exact zero.
+            for dst in dsts.iter_mut() {
+                dst.fill(T::ZERO);
+            }
+            let sources = chains.clone().flatten().map(|&(j, _)| j + 1).max();
+            for j in 0..sources.unwrap_or(0) {
+                let mut refs: Vec<(T, MatMut<'_, T>)> = chains
+                    .clone()
+                    .zip(dsts.iter_mut())
+                    .filter_map(|(chain, dst)| {
+                        let &(_, c) = chain.iter().find(|&&(s, _)| s == j)?;
+                        Some((c, dst.reborrow()))
+                    })
+                    .collect();
+                if refs.is_empty() {
+                    continue;
+                }
                 if par {
-                    kernels::par_lincomb(out, T::ZERO, &terms);
+                    kernels::par_stream_update(&mut refs, src(j));
                 } else {
-                    kernels::lincomb(out, T::ZERO, &terms);
+                    kernels::stream_update(&mut refs, src(j));
                 }
             }
         }
     }
-    (MatRef::from_slice(buf, grid.rs, grid.cs, grid.cs), T::ONE)
 }
 
-/// Form all operands of one side with the streaming strategy: zero all
-/// workspace temporaries, then stream each source block once, updating
-/// every chain that references it.
-fn form_side_streaming<'x, T: Scalar>(
-    plan: &TypedSide<T>,
-    grid: &Grid,
-    src: &MatRef<'x, T>,
-    temps: &[MatRef<'x, T>],
+/// The `i`-th `rows × cols` matrix stored back to back in `buf`.
+fn chunk<T: Scalar>(buf: &[T], i: usize, rows: usize, cols: usize) -> MatRef<'_, T> {
+    let size = rows * cols;
+    MatRef::from_slice(&buf[i * size..(i + 1) * size], rows, cols, cols)
+}
+
+/// Source `j` of one side: block `j` of `x` on `grid`, or CSE temporary
+/// `j − blocks` stored in `temps`.
+fn source<'a, T: Scalar>(grid: Grid, x: MatRef<'a, T>, temps: &'a [T], j: usize) -> MatRef<'a, T> {
+    let blocks = grid.br * grid.bc;
+    if j < blocks {
+        grid.block(&x, j / grid.bc, j % grid.bc)
+    } else {
+        chunk(temps, j - blocks, grid.rs, grid.cs)
+    }
+}
+
+/// Evaluate a side's CSE temporaries write-once into `buf`, in order (a
+/// temporary may read earlier ones), and return the filled buffer.
+fn eval_cse<'a, T: Scalar>(
+    side: &Side<T>,
+    grid: Grid,
+    x: MatRef<'a, T>,
     par: bool,
-    bufs: Vec<Option<&'x mut [T]>>,
-) -> Vec<(MatRef<'x, T>, T)> {
-    // The workspace may hold stale values; streaming accumulates, so
-    // every owned destination starts from exact zero.
-    let mut owned: Vec<Option<&'x mut [T]>> = bufs;
-    for buf in owned.iter_mut().flatten() {
-        buf.fill(T::ZERO);
+    buf: &'a mut [T],
+) -> &'a [T] {
+    let size = grid.rs * grid.cs;
+    for (t, chain) in side.temps.iter().enumerate() {
+        let (done, rest) = buf.split_at_mut(t * size);
+        let done: &[T] = done;
+        let dst = MatMut::from_slice(&mut rest[..size], grid.rs, grid.cs, grid.cs);
+        let src = |j| source(grid, x, done, j);
+        form(
+            AdditionMethod::WriteOnce,
+            par,
+            &src,
+            std::iter::once(chain.as_slice()),
+            &mut [dst],
+        );
     }
+    buf
+}
 
-    // Reverse index: variable → [(chain, coef)], chains ascending so
-    // disjoint mutable access can be split off in order.
-    let mut by_var: std::collections::HashMap<Var, Vec<(usize, T)>> =
-        std::collections::HashMap::new();
-    for (r, chain) in plan.chains.iter().enumerate() {
-        if plan.passthrough[r].is_some() {
-            continue;
-        }
-        for &(v, coef) in chain {
-            by_var.entry(v).or_default().push((r, coef));
-        }
-    }
+/// Split `len` elements off the front of `rest`.
+fn carve<'w, T>(rest: &mut &'w mut [T], len: usize) -> &'w mut [T] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(len);
+    *rest = tail;
+    head
+}
 
-    for (&var, targets) in by_var.iter() {
-        let srcview = match var {
-            Var::Block(bi) => grid.block(src, bi / grid.bc, bi % grid.bc),
-            Var::Temp(t) => temps[t],
-        };
-        let mut targets: Vec<(usize, T)> = targets.clone();
-        targets.sort_unstable_by_key(|&(r, _)| r);
-        // Split disjoint mutable views off `owned` in ascending chain
-        // order (each chain references a variable at most once).
-        let mut refs: Vec<(T, MatMut<'_, T>)> = Vec::with_capacity(targets.len());
-        let mut rest: &mut [Option<&'x mut [T]>] = &mut owned;
-        let mut base = 0;
-        for &(r, coef) in &targets {
-            let (_, tail) = rest.split_at_mut(r - base);
-            let (item, tail) = tail.split_at_mut(1);
-            let buf = item[0]
-                .as_mut()
-                .expect("streaming target must have a workspace buffer");
-            refs.push((coef, MatMut::from_slice(buf, grid.rs, grid.cs, grid.cs)));
-            rest = tail;
-            base = r + 1;
-        }
-        if par {
-            kernels::par_stream_update(&mut refs, srcview);
-        } else {
-            kernels::stream_update(&mut refs, srcview);
-        }
-    }
-
-    owned
-        .into_iter()
-        .enumerate()
-        .map(|(r, o)| match o {
-            Some(buf) => (MatRef::from_slice(buf, grid.rs, grid.cs, grid.cs), T::ONE),
-            None => {
-                let (bi, scale) = plan.passthrough[r].unwrap();
-                (grid.block(src, bi / grid.bc, bi % grid.bc), scale)
-            }
+/// The S_r/T_r buffers of each product `r` in turn, carved from the
+/// node's operand region (S before T); `None` for a passthrough
+/// operand, which needs no buffer (§3.1).
+fn operand_slots<'w, T>(
+    lp: &'w LevelPlan<T>,
+    layout: &NodeLayout,
+    mut st: &'w mut [T],
+) -> impl Iterator<Item = (Option<&'w mut [T]>, Option<&'w mut [T]>)> {
+    let (s_size, t_size) = (layout.s_size, layout.t_size);
+    lp.u.passthrough
+        .iter()
+        .zip(&lp.v.passthrough)
+        .map(move |(u, v)| {
+            let s = u.is_none().then(|| carve(&mut st, s_size));
+            let t = v.is_none().then(|| carve(&mut st, t_size));
+            (s, t)
         })
-        .collect()
+}
+
+/// Operand `r` of one side: the source block itself for a passthrough
+/// (§3.1), else chain `r` in `buf` — formed here unless Streaming
+/// already formed every chain of the side.
+fn operand<'s: 'b, 'b, T: Scalar>(
+    method: AdditionMethod,
+    par: bool,
+    side: &Side<T>,
+    r: usize,
+    src: &impl Fn(usize) -> MatRef<'s, T>,
+    grid: Grid,
+    buf: Option<&'b mut [T]>,
+) -> MatRef<'b, T> {
+    if let Some(j) = side.passthrough[r] {
+        return src(j);
+    }
+    let buf = buf.expect("a formed operand has a workspace buffer");
+    if method != AdditionMethod::Streaming {
+        let dst = MatMut::from_slice(&mut buf[..], grid.rs, grid.cs, grid.cs);
+        form(
+            method,
+            par,
+            src,
+            std::iter::once(side.chains[r].as_slice()),
+            &mut [dst],
+        );
+    }
+    MatRef::from_slice(buf, grid.rs, grid.cs, grid.cs)
 }
 
 /// One fast recursive step on a divisible core problem, entirely inside
-/// the `ws` region described by `layout`.
+/// the `ws` region described by `layout`: CSE temporaries, one child
+/// per product `M_r`, then the combine into `C`.
 #[allow(clippy::too_many_arguments)]
 fn fast_step<T: GemmScalar>(
     ctx: &Ctx<'_, T>,
@@ -989,9 +922,9 @@ fn fast_step<T: GemmScalar>(
     let lp = &ctx.levels[depth];
     let ga = Grid::new(a.rows(), a.cols(), lp.m, lp.k);
     let gb = Grid::new(b.rows(), b.cols(), lp.k, lp.n);
-    let rank = lp.rank;
-    let par = ctx.par_adds(depth);
-    let leaves_per_child = ctx.leaves_below(depth);
+    let method = ctx.additions;
+    let streaming = method == AdditionMethod::Streaming;
+    let par = ctx.par_at(depth);
 
     let (ut_buf, rest) = ws.split_at_mut(layout.ut_len);
     let (vt_buf, rest) = rest.split_at_mut(layout.vt_len);
@@ -999,274 +932,66 @@ fn fast_step<T: GemmScalar>(
     let (st_buf, child_buf) = rest.split_at_mut(layout.st_len);
 
     // CSE temporaries are shared across all chains of a side.
-    let t_span =
-        fmm_trace::now_if(ctx.trace && !(lp.uplan.temps.is_empty() && lp.vplan.temps.is_empty()));
-    let utemps = eval_temps(&lp.uplan.temps, &ga, &a, par, ut_buf);
-    let vtemps = eval_temps(&lp.vplan.temps, &gb, &b, par, vt_buf);
-    fmm_trace::span_end(fmm_trace::SpanKind::Additions, t_span, depth as u64);
+    let has_cse = !(lp.u.temps.is_empty() && lp.v.temps.is_empty());
+    let t_span = fmm_trace::now_if(ctx.trace && has_cse);
+    let ut = eval_cse(&lp.u, ga, a, par, ut_buf);
+    let vt = eval_cse(&lp.v, gb, b, par, vt_buf);
+    fmm_trace::span_end(SpanKind::Additions, t_span, depth as u64);
+    let usrc = |j| source(ga, a, ut, j);
+    let vsrc = |j| source(gb, b, vt, j);
 
-    // Per-multiplication S/T buffers.
-    let (mut sbufs, mut tbufs) = carve_st(lp, layout, st_buf);
+    if streaming {
+        // Streaming forms every operand up front, reading each source
+        // once for all the chains of its side.
+        let t_span = fmm_trace::now_if(ctx.trace);
+        let (mut s, mut t) = (Vec::with_capacity(lp.rank), Vec::with_capacity(lp.rank));
+        for (sb, tb) in operand_slots(lp, layout, &mut *st_buf) {
+            s.extend(sb.map(|buf| MatMut::from_slice(buf, ga.rs, ga.cs, ga.cs)));
+            t.extend(tb.map(|buf| MatMut::from_slice(buf, gb.rs, gb.cs, gb.cs)));
+        }
+        form(method, par, &usrc, lp.u.formed(), &mut s);
+        form(method, par, &vsrc, lp.v.formed(), &mut t);
+        fmm_trace::span_end(SpanKind::Additions, t_span, depth as u64);
+    }
 
-    // M_r storage.
-    let (sub_rows, sub_cols) = (ga.rs, gb.cs);
     ctx.count(|s| &s.temp_elements, layout.ms_len as u64);
-    // Scales piped from singleton S/T columns into the W combination.
-    let mut scales = vec![T::ONE; rank];
-
-    let sequentialish = !ctx.scheme.concurrent_children();
-
-    match ctx.additions {
-        AdditionMethod::Streaming => {
-            let t_span = fmm_trace::now_if(ctx.trace);
-            let ss =
-                form_side_streaming(&lp.uplan, &ga, &a, &utemps, par, std::mem::take(&mut sbufs));
-            let ts =
-                form_side_streaming(&lp.vplan, &gb, &b, &vtemps, par, std::mem::take(&mut tbufs));
-            fmm_trace::span_end(fmm_trace::SpanKind::Additions, t_span, depth as u64);
-            for r in 0..rank {
-                scales[r] = ss[r].1 * ts[r].1;
+    let (rows, cols) = (ga.rs, gb.cs);
+    let leaves = ctx.leaves_below(depth);
+    // A child that runs as a task forms its own operands inside the
+    // task (§4.2), hence sequentially.
+    let child_par = par && !ctx.scheme.concurrent_children();
+    let child = |r: usize, s: Option<&mut [T]>, t: Option<&mut [T]>, m: &mut [T], kid: &mut [T]| {
+        let t_span = fmm_trace::now_if(ctx.trace && !streaming);
+        let s = operand(method, child_par, &lp.u, r, &usrc, ga, s);
+        let t = operand(method, child_par, &lp.v, r, &vsrc, gb, t);
+        fmm_trace::span_end(SpanKind::Additions, t_span, r as u64);
+        let m = MatMut::from_slice(m, rows, cols, cols);
+        run_node(ctx, depth + 1, leaf_lo + r as u64 * leaves, s, t, m, kid);
+    };
+    let slots = operand_slots(lp, layout, st_buf)
+        .zip(ms_buf.chunks_mut(layout.m_size))
+        .enumerate();
+    if ctx.scheme.concurrent_children() {
+        let mut kids = child_buf;
+        rayon::scope(|scope| {
+            for (r, ((s, t), m)) in slots {
+                let kid = carve(&mut kids, layout.child_len);
+                let child = &child;
+                scope.spawn(move |_| child(r, s, t, m, kid));
             }
-            if sequentialish {
-                for (r, m_chunk) in ms_buf.chunks_mut(layout.m_size).enumerate() {
-                    let m = MatMut::from_slice(m_chunk, sub_rows, sub_cols, sub_cols);
-                    run_node(
-                        ctx,
-                        depth + 1,
-                        leaf_lo + r as u64 * leaves_per_child,
-                        ss[r].0,
-                        ts[r].0,
-                        m,
-                        &mut child_buf[..layout.child_len],
-                    );
-                }
-            } else {
-                rayon::scope(|scope| {
-                    let kids = child_chunks(child_buf, layout.child_len, rank);
-                    for ((r, m_chunk), kid) in
-                        ms_buf.chunks_mut(layout.m_size).enumerate().zip(kids)
-                    {
-                        let (sv, tv) = (ss[r].0, ts[r].0);
-                        scope.spawn(move |_| {
-                            let m = MatMut::from_slice(m_chunk, sub_rows, sub_cols, sub_cols);
-                            run_node(
-                                ctx,
-                                depth + 1,
-                                leaf_lo + r as u64 * leaves_per_child,
-                                sv,
-                                tv,
-                                m,
-                                kid,
-                            );
-                        });
-                    }
-                });
-            }
-        }
-        AdditionMethod::WriteOnce | AdditionMethod::Pairwise => {
-            if sequentialish {
-                for (r, m_chunk) in ms_buf.chunks_mut(layout.m_size).enumerate() {
-                    let t_span = fmm_trace::now_if(ctx.trace);
-                    let (sv, su) = form_operand(
-                        &lp.uplan,
-                        r,
-                        &ga,
-                        &a,
-                        &utemps,
-                        ctx.additions,
-                        par,
-                        sbufs[r].take(),
-                    );
-                    let (tv, tu) = form_operand(
-                        &lp.vplan,
-                        r,
-                        &gb,
-                        &b,
-                        &vtemps,
-                        ctx.additions,
-                        par,
-                        tbufs[r].take(),
-                    );
-                    fmm_trace::span_end(fmm_trace::SpanKind::Additions, t_span, r as u64);
-                    scales[r] = su * tu;
-                    let m = MatMut::from_slice(m_chunk, sub_rows, sub_cols, sub_cols);
-                    run_node(
-                        ctx,
-                        depth + 1,
-                        leaf_lo + r as u64 * leaves_per_child,
-                        sv,
-                        tv,
-                        m,
-                        &mut child_buf[..layout.child_len],
-                    );
-                }
-            } else {
-                // Each task writes its singleton-scale product into a
-                // disjoint one-element chunk of `scales` — same
-                // disjointness argument as the M_r chunks.
-                rayon::scope(|scope| {
-                    let kids = child_chunks(child_buf, layout.child_len, rank);
-                    for ((((r, m_chunk), kid), sbuf), (tbuf, slot)) in ms_buf
-                        .chunks_mut(layout.m_size)
-                        .enumerate()
-                        .zip(kids)
-                        .zip(sbufs)
-                        .zip(tbufs.into_iter().zip(scales.chunks_mut(1)))
-                    {
-                        let utemps = &utemps;
-                        let vtemps = &vtemps;
-                        scope.spawn(move |_| {
-                            // S/T formation is part of the task (§4.2),
-                            // hence sequential additions here.
-                            let t_span = fmm_trace::now_if(ctx.trace);
-                            let (sv, su) = form_operand(
-                                &lp.uplan,
-                                r,
-                                &ga,
-                                &a,
-                                utemps,
-                                ctx.additions,
-                                false,
-                                sbuf,
-                            );
-                            let (tv, tu) = form_operand(
-                                &lp.vplan,
-                                r,
-                                &gb,
-                                &b,
-                                vtemps,
-                                ctx.additions,
-                                false,
-                                tbuf,
-                            );
-                            fmm_trace::span_end(fmm_trace::SpanKind::Additions, t_span, r as u64);
-                            slot[0] = su * tu;
-                            let m = MatMut::from_slice(m_chunk, sub_rows, sub_cols, sub_cols);
-                            run_node(
-                                ctx,
-                                depth + 1,
-                                leaf_lo + r as u64 * leaves_per_child,
-                                sv,
-                                tv,
-                                m,
-                                kid,
-                            );
-                        });
-                    }
-                });
-            }
-        }
-    }
-
-    // Combine: C_ij = Σ_r w_ijr · scale_r · M_r.
-    let ms: Vec<MatRef<'_, T>> = ms_buf
-        .chunks(layout.m_size)
-        .map(|chunk| MatRef::from_slice(chunk, sub_rows, sub_cols, sub_cols))
-        .collect();
-    let t_span = fmm_trace::now_if(ctx.trace);
-    combine_outputs(ctx, lp, &ms, &scales, c, par);
-    fmm_trace::span_end(fmm_trace::SpanKind::Combine, t_span, depth as u64);
-}
-
-/// Disjoint per-child workspace regions for concurrent (BFS/HYBRID)
-/// tasks; empty slices when the children are leaves.
-fn child_chunks<T>(child_buf: &mut [T], child_len: usize, rank: usize) -> Vec<&mut [T]> {
-    if child_len == 0 {
-        (0..rank).map(|_| Default::default()).collect()
+        });
     } else {
-        child_buf.chunks_mut(child_len).take(rank).collect()
+        for (r, ((s, t), m)) in slots {
+            child(r, s, t, m, &mut child_buf[..layout.child_len]);
+        }
     }
-}
 
-/// Evaluate the W-side plan into the output blocks.
-fn combine_outputs<T: Scalar>(
-    ctx: &Ctx<'_, T>,
-    lp: &LevelPlan<T>,
-    ms: &[MatRef<'_, T>],
-    scales: &[T],
-    c: MatMut<'_, T>,
-    par: bool,
-) {
+    // Combine: C_ij = Σ_r w_ijr·M_r, the passthrough scales already
+    // folded into w.
+    let t_span = fmm_trace::now_if(ctx.trace);
     let gc = Grid::new(c.rows(), c.cols(), lp.m, lp.n);
-    let mut cblocks = gc.blocks_mut(c);
-    match ctx.additions {
-        AdditionMethod::WriteOnce => {
-            for (ij, cb) in cblocks.iter_mut().enumerate() {
-                let terms: Vec<(T, MatRef<'_, T>)> = lp.wplan[ij]
-                    .iter()
-                    .map(|&(r, coef)| (coef * scales[r], ms[r]))
-                    .collect();
-                if par {
-                    kernels::par_lincomb(cb.reborrow(), T::ZERO, &terms);
-                } else {
-                    kernels::lincomb(cb.reborrow(), T::ZERO, &terms);
-                }
-            }
-        }
-        AdditionMethod::Pairwise => {
-            for (ij, cb) in cblocks.iter_mut().enumerate() {
-                let chain = &lp.wplan[ij];
-                if chain.is_empty() {
-                    cb.fill(T::ZERO);
-                    continue;
-                }
-                let (r0, c0) = chain[0];
-                if par {
-                    kernels::par_copy(cb.reborrow(), ms[r0]);
-                    if c0 * scales[r0] != T::ONE {
-                        kernels::scale(cb.reborrow(), c0 * scales[r0]);
-                    }
-                    for &(r, coef) in &chain[1..] {
-                        kernels::par_axpy(cb.reborrow(), coef * scales[r], ms[r]);
-                    }
-                } else {
-                    kernels::copy_scaled(cb.reborrow(), c0 * scales[r0], ms[r0]);
-                    for &(r, coef) in &chain[1..] {
-                        kernels::axpy(cb.reborrow(), coef * scales[r], ms[r]);
-                    }
-                }
-            }
-        }
-        AdditionMethod::Streaming => {
-            for cb in cblocks.iter_mut() {
-                cb.fill(T::ZERO);
-            }
-            // Read each M_r once, updating every output block that uses it.
-            for (r, m) in ms.iter().enumerate() {
-                let mut refs: Vec<(T, MatMut<'_, T>)> = Vec::new();
-                for (ij, cb) in cblocks.iter_mut().enumerate() {
-                    if let Some(&(_, coef)) = lp.wplan[ij].iter().find(|&&(rr, _)| rr == r) {
-                        refs.push((coef * scales[r], cb.reborrow()));
-                    }
-                }
-                if par {
-                    kernels::par_stream_update(&mut refs, *m);
-                } else {
-                    kernels::stream_update(&mut refs, *m);
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod stats_tests {
-    use super::ExecStatsSnapshot;
-
-    #[test]
-    fn exec_stats_snapshot_json_roundtrip() {
-        let snap = ExecStatsSnapshot {
-            base_gemms: 49,
-            peel_gemms: 3,
-            temp_elements: 12_345,
-            workspace_bytes: 8 * 12_345,
-            workspace_reused: true,
-            threads_used: 4,
-            tasks_stolen: 17,
-        };
-        let back = ExecStatsSnapshot::from_json(&snap.to_json()).expect("round-trip");
-        assert_eq!(snap, back);
-        assert!(ExecStatsSnapshot::from_json("[]").is_err());
-        assert!(ExecStatsSnapshot::from_json("{\"base_gemms\": 1}").is_err());
-    }
+    let msrc = |r| chunk(ms_buf, r, rows, cols);
+    let wchains = lp.w.iter().map(Vec::as_slice);
+    form(method, par, &msrc, wchains, &mut gc.blocks_mut(c));
+    fmm_trace::span_end(SpanKind::Combine, t_span, depth as u64);
 }

@@ -119,7 +119,7 @@ pub use certificate::PlanCertificate;
 pub use codegen::generate_rust;
 pub use cutoff::GemmProfile;
 pub use engine::{shape_class, EngineBuilder, EngineError, EngineStats, FmmEngine, MultiplyHandle};
-pub use executor::{AdditionMethod, BorderHandling, ExecStats, ExecStatsSnapshot, Options, Scheme};
+pub use executor::{AdditionMethod, BorderHandling, ExecStatsSnapshot, Options, Scheme};
 pub use fmm_gemm::{classical_flops, effective_gflops, GemmScalar};
 pub use plan::{cse_stats, CseStats};
 pub use planner::{Plan, PlanError, Planner};

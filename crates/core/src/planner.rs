@@ -13,12 +13,15 @@
 //! discipline), which is what makes the batched front door
 //! [`Plan::execute_batch`] cheap enough to serve many small multiplies.
 
-use crate::certificate::PlanCertificate;
+use crate::certificate::{derive_certificate, PlanCertificate};
 use crate::cutoff::GemmProfile;
 use crate::executor::{
     execute_on, required_workspace, AdditionMethod, BorderHandling, ExecStats, ExecStatsSnapshot,
     LevelPlan, Options, Scheme,
 };
+
+/// Cap on the profile-recommended recursion depth.
+const MAX_STEPS: usize = 4;
 use crate::workspace::Workspace;
 use fmm_gemm::GemmScalar;
 use fmm_matrix::DenseMatrix;
@@ -57,7 +60,8 @@ pub enum PlanError {
         dtype: &'static str,
     },
     /// The shape's padded dimensions or its workspace size do not fit
-    /// in `usize`.
+    /// in `usize`, or one of its certificate counts (composed rank,
+    /// gemm counts, flops) does not fit in `u64`.
     ShapeOverflow,
 }
 
@@ -87,7 +91,7 @@ impl std::fmt::Display for PlanError {
                 "coefficient {value} of scheme {scheme} is not representable in {dtype}"
             ),
             PlanError::ShapeOverflow => {
-                write!(f, "the shape's workspace size does not fit in usize")
+                write!(f, "the shape's workspace size or operation counts overflow")
             }
         }
     }
@@ -136,7 +140,6 @@ pub struct Planner {
     shape: Option<(usize, usize, usize)>,
     alg: AlgChoice,
     steps: Option<usize>,
-    max_steps: usize,
     profile: Option<GemmProfile>,
     additions: AdditionMethod,
     cse: bool,
@@ -159,7 +162,6 @@ impl Planner {
             shape: None,
             alg: AlgChoice::None,
             steps: None,
-            max_steps: 4,
             profile: None,
             additions: AdditionMethod::WriteOnce,
             cse: false,
@@ -225,13 +227,6 @@ impl Planner {
         self
     }
 
-    /// Cap on the profile-recommended recursion depth (default 4).
-    #[must_use]
-    pub fn max_steps(mut self, max_steps: usize) -> Self {
-        self.max_steps = max_steps;
-        self
-    }
-
     /// Addition-chain evaluation strategy (§3.2).
     #[must_use]
     pub fn additions(mut self, additions: AdditionMethod) -> Self {
@@ -277,7 +272,7 @@ impl Planner {
     fn recommended_depth(&self, dec: &Decomposition, shape: (usize, usize, usize)) -> usize {
         let eff = shape.0.min(shape.1).min(shape.2);
         match &self.profile {
-            Some(profile) => profile.recommended_steps(dec, eff, self.max_steps),
+            Some(profile) => profile.recommended_steps(dec, eff, MAX_STEPS),
             None => usize::from(dec.speedup_per_step() > 0.0),
         }
     }
@@ -347,21 +342,21 @@ impl Planner {
             })
             .collect::<Result<_, _>>()?;
         let ws_len = required_workspace(&levels, &opts, shape.0, shape.1, shape.2)?;
-        let plan = Plan {
-            levels,
-            opts,
-            shape,
-            ws_len,
-        };
+        let certificate = derive_certificate(&levels, &opts, shape)?;
         // Audit: the certificate re-derives the workspace footprint
         // from the recursion tree independently of the executor's
         // NodeLayout arithmetic; any disagreement is a sizing bug.
         debug_assert_eq!(
-            plan.certificate().workspace_len,
-            ws_len,
+            certificate.workspace_len, ws_len,
             "plan certificate disagrees with precomputed workspace"
         );
-        Ok(plan)
+        Ok(Plan {
+            levels,
+            opts,
+            shape,
+            ws_len,
+            certificate,
+        })
     }
 }
 
@@ -376,6 +371,7 @@ pub struct Plan<T = f64> {
     opts: Options,
     shape: (usize, usize, usize),
     ws_len: usize,
+    certificate: PlanCertificate,
 }
 
 impl<T: GemmScalar> Plan<T> {
@@ -406,13 +402,13 @@ impl<T: GemmScalar> Plan<T> {
         self.ws_len * std::mem::size_of::<T>()
     }
 
-    /// Statically re-derive this plan's composed rank, gemm counts,
-    /// flop count and exact workspace footprint from the recursion
-    /// tree — an independent audit of the planner's precomputed values
-    /// (cross-checked with a `debug_assert` at plan time) and an exact
-    /// prediction of the executor's runtime statistics.
+    /// This plan's composed rank, gemm counts, flop count and exact
+    /// workspace footprint, re-derived from the recursion tree at plan
+    /// time — an independent audit of the planner's precomputed values
+    /// (cross-checked with a `debug_assert`) and an exact prediction of
+    /// the executor's runtime statistics.
     pub fn certificate(&self) -> PlanCertificate {
-        crate::certificate::derive_certificate(&self.levels, &self.opts, self.shape)
+        self.certificate.clone()
     }
 
     /// `C = A · B`. After the first call on a given `workspace`,
@@ -641,6 +637,27 @@ mod tests {
                 .algorithm(&s)
                 .steps(1)
                 .border(BorderHandling::Padding)
+                .plan::<f64>()
+                .err(),
+            Some(PlanError::ShapeOverflow)
+        );
+        // So are certificate counts past u64: 7^23 leaves overflow the
+        // composed rank, and one (2^22)³ gemm overflows the flop count.
+        assert_eq!(
+            Planner::new()
+                .shape(1, 1, 1)
+                .algorithm(&s)
+                .steps(23)
+                .plan::<f64>()
+                .err(),
+            Some(PlanError::ShapeOverflow)
+        );
+        let big = 1 << 22;
+        assert_eq!(
+            Planner::new()
+                .shape(big, big, big)
+                .algorithm(&s)
+                .steps(0)
                 .plan::<f64>()
                 .err(),
             Some(PlanError::ShapeOverflow)

@@ -35,13 +35,15 @@ use std::time::Instant;
 /// rival the saved eighth of the M4RM word-ops.
 pub const GF2_CUTOFF_BITS: usize = 1024;
 
+/// Depth ceiling for automatic selection.
+const MAX_STEPS: usize = 3;
+
 /// Builder for [`Gf2Plan`]: the depth rule and lift check around a
 /// [`fmm_core::Planner`].
 pub struct Gf2Planner {
     shape: Option<(usize, usize, usize)>,
     algorithm: Option<Decomposition>,
     steps: Option<usize>,
-    max_steps: usize,
     profile: Option<GemmProfile>,
 }
 
@@ -58,7 +60,6 @@ impl Gf2Planner {
             shape: None,
             algorithm: None,
             steps: None,
-            max_steps: 3,
             profile: None,
         }
     }
@@ -80,12 +81,6 @@ impl Gf2Planner {
     /// Force an exact recursion depth (0 = plain M4RM, no recursion).
     pub fn steps(mut self, steps: usize) -> Self {
         self.steps = Some(steps);
-        self
-    }
-
-    /// Depth ceiling for automatic selection (default 3).
-    pub fn max_steps(mut self, max_steps: usize) -> Self {
-        self.max_steps = max_steps;
         self
     }
 
@@ -119,11 +114,11 @@ impl Gf2Planner {
         let shrink = dec.m.max(dec.k).max(dec.n).max(1);
         let depth = match (self.steps, &self.profile) {
             (Some(s), _) => s,
-            (None, Some(p)) => p.recommended_steps(&dec, min_dim, self.max_steps),
+            (None, Some(p)) => p.recommended_steps(&dec, min_dim, MAX_STEPS),
             (None, None) => {
                 let mut steps = 0;
                 let mut cur = min_dim;
-                while steps < self.max_steps && cur / shrink >= GF2_CUTOFF_BITS {
+                while steps < MAX_STEPS && cur / shrink >= GF2_CUTOFF_BITS {
                     cur /= shrink;
                     steps += 1;
                 }
@@ -464,6 +459,47 @@ mod tests {
             assert!(msg.contains("<3,2,2>"), "message names the scheme: {msg}");
             assert!(msg.contains("gf2"), "message names the dtype: {msg}");
         }
+    }
+
+    #[test]
+    fn core_planner_names_the_first_unrepresentable_coefficient() {
+        // Planned straight through fmm_core, an APA scheme fails on its
+        // first nonzero coefficient that does not lift: W by rows, then
+        // U and V by columns.
+        let bini = fmm_algo::by_name("bini")
+            .expect("bini is in the catalog")
+            .dec;
+        let nonzero = |f: &fmm_matrix::Matrix, by_rows: bool| {
+            let (outer, inner) = if by_rows {
+                (f.rows(), f.cols())
+            } else {
+                (f.cols(), f.rows())
+            };
+            (0..outer)
+                .flat_map(move |o| (0..inner).map(move |i| if by_rows { (o, i) } else { (i, o) }))
+                .map(|ij| f[ij])
+                .filter(|c| c.abs() > 1e-14)
+                .collect::<Vec<_>>()
+        };
+        let expected = [
+            nonzero(&bini.w, true),
+            nonzero(&bini.u, false),
+            nonzero(&bini.v, false),
+        ]
+        .concat()
+        .into_iter()
+        .find(|&c| Gf2Word::from_coeff(c).is_none())
+        .expect("bini has a fractional coefficient");
+        let err = Planner::new()
+            .shape(64, 8, 8)
+            .algorithm(&bini)
+            .steps(1)
+            .plan::<Gf2Word>()
+            .err();
+        let Some(PlanError::UnrepresentableCoefficient { value, dtype, .. }) = err else {
+            panic!("expected UnrepresentableCoefficient, got {err:?}");
+        };
+        assert_eq!((value, dtype), (expected, "gf2"));
     }
 
     #[test]

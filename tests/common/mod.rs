@@ -30,3 +30,9 @@ pub fn multiply(
     let planner = Planner::new().algorithm(dec).steps(steps).options(opts);
     run(planner, a, b).0
 }
+
+/// The exact bits of a product, so `-0.0` and NaN payloads count too.
+#[allow(dead_code)]
+pub fn bits(c: &Matrix) -> Vec<u64> {
+    c.as_slice().iter().map(|x| x.to_bits()).collect()
+}

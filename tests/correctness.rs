@@ -5,9 +5,9 @@
 
 mod common;
 
-use common::multiply;
+use common::{bits, multiply};
 use fast_matmul::algo;
-use fast_matmul::core::{cse_stats, AdditionMethod, Options, Scheme};
+use fast_matmul::core::{cse_stats, AdditionMethod, Options, Planner, Scheme, Workspace};
 use fast_matmul::matrix::{max_abs_diff, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -59,21 +59,58 @@ fn every_catalog_algorithm_multiplies_correctly() {
 
 #[test]
 fn strategy_matrix_full_cross_product() {
-    let strassen = algo::by_name("strassen").unwrap().dec;
-    for additions in [
-        AdditionMethod::Pairwise,
-        AdditionMethod::WriteOnce,
-        AdditionMethod::Streaming,
-    ] {
-        for cse in [false, true] {
-            for scheme in [Scheme::Sequential, Scheme::Dfs, Scheme::Bfs, Scheme::Hybrid] {
-                let opts = Options {
-                    additions,
-                    cse,
-                    scheme,
-                    ..Options::default()
-                };
-                check(&strassen, (101, 67, 89), 2, opts, 7);
+    // Strassen on a shape that peels at both levels, then every catalog
+    // scheme on a ragged shape of its own. Beyond matching the
+    // reference, every plan repeats its bits exactly, and DFS, BFS and
+    // HYBRID reproduce Sequential's bits for the same addition method
+    // and CSE setting.
+    let mut inputs = vec![(algo::by_name("strassen").unwrap().dec, (101, 67, 89))];
+    for alg in algo::catalog() {
+        let (m, k, n) = alg.dec.base();
+        inputs.push((alg.dec, (m * m * 2 + 3, k * k * 2 + 1, n * n * 2 + 2)));
+    }
+    for (dec, (p, q, r)) in &inputs {
+        let (p, q, r) = (*p, *q, *r);
+        let mut rng = StdRng::seed_from_u64(7);
+        let a = Matrix::random(p, q, &mut rng);
+        let b = Matrix::random(q, r, &mut rng);
+        let want = reference(&a, &b);
+        for additions in [
+            AdditionMethod::Pairwise,
+            AdditionMethod::WriteOnce,
+            AdditionMethod::Streaming,
+        ] {
+            for cse in [false, true] {
+                let mut sequential = None;
+                for scheme in [Scheme::Sequential, Scheme::Dfs, Scheme::Bfs, Scheme::Hybrid] {
+                    let opts = Options {
+                        additions,
+                        cse,
+                        scheme,
+                        ..Options::default()
+                    };
+                    let label = format!("{:?} at {p}x{q}x{r} with {opts:?}", dec.base());
+                    let plan = Planner::new()
+                        .shape(p, q, r)
+                        .algorithm(dec)
+                        .steps(2)
+                        .options(opts)
+                        .plan()
+                        .unwrap();
+                    let mut ws = Workspace::new();
+                    let mut runs = [Matrix::zeros(p, r), Matrix::zeros(p, r)];
+                    for c in &mut runs {
+                        plan.execute(&a, &b, c, &mut ws);
+                    }
+                    let d = max_abs_diff(&want.as_ref(), &runs[0].as_ref()).unwrap();
+                    assert!(d < 1e-9 * q as f64, "mismatch {d:.3e}: {label}");
+                    let got = bits(&runs[0]);
+                    assert_eq!(got, bits(&runs[1]), "repeat changed bits: {label}");
+                    match &sequential {
+                        None => sequential = Some(got),
+                        Some(seq) => assert_eq!(&got, seq, "differs from Sequential: {label}"),
+                    }
+                }
             }
         }
     }

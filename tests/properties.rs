@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::multiply;
+use common::{bits, multiply};
 use fast_matmul::algo;
 use fast_matmul::core::{AdditionMethod, Options, Scheme};
 use fast_matmul::matrix::{max_abs_diff, Matrix};
@@ -51,20 +51,36 @@ proptest! {
     fn parallel_schemes_bitwise_match_each_other_logically(
         seed in 0u64..500,
         scheme in 0u8..3,
+        additions in 0u8..3,
+        cse in 0u8..2,
+        alg in 0usize..64,
     ) {
         let scheme = match scheme {
             0 => Scheme::Dfs,
             1 => Scheme::Bfs,
             _ => Scheme::Hybrid,
         };
-        let strassen = algo::strassen();
+        let additions = match additions {
+            0 => AdditionMethod::Pairwise,
+            1 => AdditionMethod::WriteOnce,
+            _ => AdditionMethod::Streaming,
+        };
+        let catalog = algo::catalog();
+        let dec = &catalog[alg % catalog.len()].dec;
         let mut rng = StdRng::seed_from_u64(seed);
         let a = Matrix::random(70, 66, &mut rng);
         let b = Matrix::random(66, 74, &mut rng);
         let want = reference(&a, &b);
-        let got = multiply(&strassen, 2, Options { scheme, ..Options::default() }, &a, &b);
+        let opts = Options { additions, cse: cse == 1, ..Options::default() };
+        let sequential = multiply(dec, 2, opts, &a, &b);
+        let got = multiply(dec, 2, Options { scheme, ..opts }, &a, &b);
         let d = max_abs_diff(&want.as_ref(), &got.as_ref()).unwrap();
-        prop_assert!(d < 1e-10 * 67.0);
+        prop_assert!(d < 1e-10 * 67.0, "{:?} {opts:?}: diff {d}", dec.base());
+        prop_assert!(
+            bits(&got) == bits(&sequential),
+            "{:?} under {scheme:?} differs from Sequential with {opts:?}",
+            dec.base()
+        );
     }
 
     #[test]
