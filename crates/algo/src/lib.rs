@@ -14,11 +14,11 @@
 //!    fallback when no searched file reaches the paper's rank, with the
 //!    rank difference recorded in the provenance.
 //!
-//! Each catalog access re-checks the decomposition against the Brent
-//! equations, so a corrupted data file cannot produce silent wrong
-//! results. Discrete (dyadic-coefficient) schemes are *certified*
-//! identically in ℚ via [`fmm_verify::certify_exact`] — not accepted at
-//! a float tolerance — and APA instantiations go through
+//! Every entry is checked against the Brent equations before use (the
+//! [`catalog`] once per process), so a corrupted data file cannot
+//! produce silent wrong results. Discrete (dyadic-coefficient) schemes
+//! are *certified* identically in ℚ via [`fmm_verify::certify_exact`] —
+//! not accepted at a float tolerance — and APA instantiations go through
 //! [`fmm_verify::check_apa_fit`], which replaces the old fixed-residual
 //! heuristic with a rank-deficit + unique-rounding + header-agreement
 //! check.
@@ -34,6 +34,7 @@ pub use hardcoded::{strassen, winograd};
 use fmm_tensor::transform::permute_to;
 use fmm_tensor::Decomposition;
 use fmm_verify::Certify;
+use std::sync::OnceLock;
 
 mod embedded {
     include!(concat!(env!("OUT_DIR"), "/embedded.rs"));
@@ -311,16 +312,22 @@ pub fn candidates_for_shape(p: usize, q: usize, r: usize) -> Vec<FastAlgorithm> 
     entries
 }
 
-/// All canonical Table-2 algorithms (exact entries only).
+/// All canonical Table-2 algorithms (exact entries only). Built and
+/// checked once per process; every call returns a copy.
 pub fn catalog() -> Vec<FastAlgorithm> {
-    let mut out = vec![by_name("strassen").unwrap(), by_name("winograd").unwrap()];
-    for ((m, k, n), _) in TABLE2_BASES {
-        if (*m, *k, *n) == (2, 2, 2) {
-            continue; // strassen already included
-        }
-        out.push(by_base(*m, *k, *n));
-    }
-    out
+    static CATALOG: OnceLock<Vec<FastAlgorithm>> = OnceLock::new();
+    CATALOG
+        .get_or_init(|| {
+            let mut out = vec![by_name("strassen").unwrap(), by_name("winograd").unwrap()];
+            for ((m, k, n), _) in TABLE2_BASES {
+                if (*m, *k, *n) == (2, 2, 2) {
+                    continue; // strassen already included
+                }
+                out.push(by_base(*m, *k, *n));
+            }
+            out
+        })
+        .clone()
 }
 
 /// The level schedule of the composed ⟨54,54,54⟩ algorithm of §5.2:

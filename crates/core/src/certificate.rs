@@ -14,7 +14,7 @@
 //! rather than as a slice-carving panic (or silent corruption) mid
 //! multiply.
 
-use crate::executor::{BorderHandling, LevelPlan, Options, Scheme};
+use crate::executor::{LevelPlan, Scheme};
 use crate::planner::PlanError;
 use fmm_gemm::GemmScalar;
 use fmm_matrix::partition::PeelSplit;
@@ -39,8 +39,8 @@ pub struct PlanCertificate {
     pub base_gemms: u64,
     /// Exact number of §3.5 dynamic-peeling fix-up gemms.
     pub peel_gemms: u64,
-    /// Workspace temporaries the executor will account (M_r product
-    /// buffers, plus padding copies under [`BorderHandling::Padding`]).
+    /// Workspace temporaries the executor will account: the M_r product
+    /// buffers of every node.
     pub temp_elements: u64,
     /// Exact workspace footprint in scalar elements — must equal
     /// [`crate::Plan::workspace_len`].
@@ -173,53 +173,17 @@ fn walk<T: GemmScalar>(
     Ok(acc)
 }
 
-/// Padded dimensions under [`BorderHandling::Padding`]: each axis
-/// rounded up to the full per-level product so no level ever peels.
-fn padded_dims<T>(
-    levels: &[LevelPlan<T>],
-    p: usize,
-    q: usize,
-    r: usize,
-) -> Result<(usize, usize, usize), PlanError> {
-    let pad = |dim: usize, base: fn(&LevelPlan<T>) -> usize| {
-        let prod = levels
-            .iter()
-            .try_fold(1, |acc: usize, l| acc.checked_mul(base(l)));
-        prod.and_then(|prod| dim.div_ceil(prod).checked_mul(prod))
-            .ok_or(PlanError::ShapeOverflow)
-    };
-    Ok((pad(p, |l| l.m)?, pad(q, |l| l.k)?, pad(r, |l| l.n)?))
-}
-
 /// Compute the certificate for a level schedule on `shape` under
-/// `opts`, or [`PlanError::ShapeOverflow`] when a count does not fit in
-/// `u64` (or the workspace in `usize`). [`crate::Planner::plan`] derives
-/// it once; [`crate::Plan::certificate`] returns it.
+/// `scheme`, or [`PlanError::ShapeOverflow`] when a count does not fit
+/// in `u64` (or the workspace in `usize`). [`crate::Planner::plan`]
+/// derives it once; [`crate::Plan::certificate`] returns it.
 pub(crate) fn derive_certificate<T: GemmScalar>(
     levels: &[LevelPlan<T>],
-    opts: &Options,
+    scheme: Scheme,
     shape: (usize, usize, usize),
 ) -> Result<PlanCertificate, PlanError> {
     let (p, q, r) = shape;
-    let mut pad = 0u64;
-    let (ep, eq, er) = if opts.border == BorderHandling::Padding && !levels.is_empty() {
-        let (pp, qq, rr) = padded_dims(levels, p, q, r)?;
-        if (pp, qq, rr) != (p, q, r) {
-            let (up, uq, ur) = (pp as u64, qq as u64, rr as u64);
-            pad = sum(&[
-                mul(up, uq)?,
-                mul(mul(uq, T::K_PACK as u64)?, ur)?,
-                mul(up, ur)?,
-            ])?;
-            (pp, qq, rr)
-        } else {
-            (p, q, r)
-        }
-    } else {
-        (p, q, r)
-    };
-    let counts = walk(levels, opts.scheme, 0, ep, eq, er)?;
-    let workspace = sum(&[counts.workspace, pad])?;
+    let counts = walk(levels, scheme, 0, p, q, r)?;
     Ok(PlanCertificate {
         shape,
         depth: levels.len(),
@@ -228,8 +192,8 @@ pub(crate) fn derive_certificate<T: GemmScalar>(
             .try_fold(1, |acc, l| mul(acc, l.rank as u64))?,
         base_gemms: counts.base_gemms,
         peel_gemms: counts.peel_gemms,
-        temp_elements: sum(&[counts.temp_elements, pad])?,
-        workspace_len: usize::try_from(workspace).map_err(|_| PlanError::ShapeOverflow)?,
+        temp_elements: counts.temp_elements,
+        workspace_len: usize::try_from(counts.workspace).map_err(|_| PlanError::ShapeOverflow)?,
         gemm_flops: counts.gemm_flops,
     })
 }

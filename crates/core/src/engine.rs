@@ -11,7 +11,8 @@
 //! * it owns an `fmm-runtime` thread pool, so every multiply — sync or
 //!   submitted — runs at a fixed, configured width regardless of which
 //!   client thread asked;
-//! * a bounded **LRU plan cache** keyed by shape auto-plans through
+//! * a bounded **LRU plan cache** ([`PLAN_CACHE_CAPACITY`] shapes)
+//!   keyed by shape auto-plans through
 //!   [`fmm_algo::candidates_for_shape`] on a miss, so the first request
 //!   for a shape pays for planning and every later one reuses the
 //!   resolved [`Plan`];
@@ -31,7 +32,6 @@
 //! share one per process and hit it from as many client threads as you
 //! like.
 
-use crate::cutoff::GemmProfile;
 use crate::executor::{ExecStatsSnapshot, Options, Scheme};
 use crate::planner::{Plan, PlanError, Planner};
 use crate::workspace::Workspace;
@@ -105,21 +105,25 @@ enum AlgSource {
     Schedule(Vec<Decomposition>),
 }
 
-/// Builder for [`FmmEngine`]. All knobs optional; the defaults give a
-/// hardware-width pool (honoring `FMM_THREADS`), catalog auto-planning
-/// at depth chosen by the §3.4 rule, and the HYBRID scheme when the
-/// pool has more than one worker.
+/// Plans an engine keeps cached; beyond this the least recently used
+/// plan is evicted.
+pub const PLAN_CACHE_CAPACITY: usize = 64;
+
+/// Builder for [`FmmEngine`]. All settings optional; the defaults give
+/// a hardware-width pool (honoring `FMM_THREADS`), catalog
+/// auto-planning at the depth the §3.4 rule chooses without a profile
+/// (one fast step when the candidate saves multiplies), and the HYBRID
+/// scheme when the pool has more than one worker. The plan cache holds
+/// [`PLAN_CACHE_CAPACITY`] shapes and the workspace pool
+/// `2 × width + 2` arenas.
 ///
 /// The element-type parameter (default `f64`) fixes the dtype every
 /// plan of the built engine executes in; `FmmEngine::<f32>::builder()`
 /// configures a single-precision engine.
 pub struct EngineBuilder<T = f64> {
     threads: Option<usize>,
-    cache_capacity: usize,
-    max_pooled_workspace_len: Option<usize>,
     options: Option<Options>,
     steps: Option<usize>,
-    profile: Option<GemmProfile>,
     alg: AlgSource,
     _dtype: std::marker::PhantomData<T>,
 }
@@ -136,11 +140,8 @@ impl<T: GemmScalar> EngineBuilder<T> {
     pub fn new() -> Self {
         EngineBuilder {
             threads: None,
-            cache_capacity: 64,
-            max_pooled_workspace_len: None,
             options: None,
             steps: None,
-            profile: None,
             alg: AlgSource::Catalog,
             _dtype: std::marker::PhantomData,
         }
@@ -154,49 +155,21 @@ impl<T: GemmScalar> EngineBuilder<T> {
         self
     }
 
-    /// Plan-cache bound (LRU eviction beyond it; default 64, min 1).
-    #[must_use]
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity.max(1);
-        self
-    }
-
-    /// Cap, in f64 elements, on the size of an arena the pool will
-    /// retain (default unbounded). Arenas grow monotonically to the
-    /// largest plan they ever served, so a long-lived engine that sees
-    /// one burst of huge multiplies would otherwise pin up to
-    /// `2 × width + 2` maximum-sized arenas forever; with a
-    /// cap, oversized arenas are dropped at check-in and recreated
-    /// right-sized when needed again.
-    #[must_use]
-    pub fn max_pooled_workspace_len(mut self, len: usize) -> Self {
-        self.max_pooled_workspace_len = Some(len);
-        self
-    }
-
-    /// Executor strategy (additions, CSE, scheme, border). Set depth
-    /// via [`EngineBuilder::steps`] or let the profile decide. Default:
-    /// write-once additions, dynamic peeling, Sequential scheme at
-    /// width 1 and HYBRID otherwise.
+    /// Executor strategy (additions, CSE, scheme). Set depth via
+    /// [`EngineBuilder::steps`] or let the §3.4 rule decide. Default:
+    /// write-once additions, Sequential scheme at width 1 and HYBRID
+    /// otherwise.
     #[must_use]
     pub fn options(mut self, options: Options) -> Self {
         self.options = Some(options);
         self
     }
 
-    /// Pin the recursion depth for every plan, overriding the profile
+    /// Pin the recursion depth for every plan, overriding the §3.4
     /// rule.
     #[must_use]
     pub fn steps(mut self, steps: usize) -> Self {
         self.steps = Some(steps);
-        self
-    }
-
-    /// Machine profile driving the §3.4 depth rule and candidate
-    /// auto-selection.
-    #[must_use]
-    pub fn profile(mut self, profile: GemmProfile) -> Self {
-        self.profile = Some(profile);
         self
     }
 
@@ -240,11 +213,9 @@ impl<T: GemmScalar> EngineBuilder<T> {
                 width,
                 base_opts,
                 steps: self.steps,
-                profile: self.profile,
                 alg: self.alg,
-                cache: Mutex::new(PlanCache::new(self.cache_capacity)),
+                cache: Mutex::new(PlanCache::new(PLAN_CACHE_CAPACITY)),
                 workspaces: Mutex::new(Vec::new()),
-                max_pooled_workspace_len: self.max_pooled_workspace_len.unwrap_or(usize::MAX),
                 counters: Counters::default(),
                 hists: fmm_trace::HistogramSet::new(),
             }),
@@ -387,11 +358,9 @@ struct EngineInner<T> {
     width: usize,
     base_opts: Options,
     steps: Option<usize>,
-    profile: Option<GemmProfile>,
     alg: AlgSource,
     cache: Mutex<PlanCache<T>>,
     workspaces: Mutex<Vec<Workspace<T>>>,
-    max_pooled_workspace_len: usize,
     counters: Counters,
     hists: fmm_trace::HistogramSet,
 }
@@ -439,9 +408,6 @@ impl<T: GemmScalar> EngineInner<T> {
                 planner = planner.auto_algorithm(&catalog_decs);
             }
         }
-        if let Some(profile) = &self.profile {
-            planner = planner.profile(profile.clone());
-        }
         if let Some(steps) = self.steps {
             planner = planner.steps(steps);
         }
@@ -459,13 +425,6 @@ impl<T: GemmScalar> EngineInner<T> {
     }
 
     fn checkin_workspace(&self, ws: Workspace<T>) {
-        // Arenas grow monotonically, so without the length bound one
-        // burst of huge multiplies would pin max-sized arenas for the
-        // engine's whole lifetime; oversized arenas are dropped here
-        // and recreated right-sized on a later checkout.
-        if ws.len() > self.max_pooled_workspace_len {
-            return;
-        }
         let mut pool = self.workspaces.lock().unwrap();
         if pool.len() < 2 * self.width + 2 {
             pool.push(ws);
@@ -775,46 +734,25 @@ mod tests {
     }
 
     #[test]
-    fn oversized_arenas_are_dropped_at_checkin() {
-        let engine = FmmEngine::builder()
-            .threads(1)
-            .max_pooled_workspace_len(10)
-            .build()
-            .unwrap();
-        let (a, b) = random_problem(48, 48, 48, 3);
-        engine.multiply(&a, &b).unwrap();
-        let s = engine.stats();
-        assert_eq!(
-            s.workspaces_pooled, 0,
-            "an arena beyond the retention cap must not be pooled"
-        );
-        // The next serve has to create a fresh arena.
-        engine.multiply(&a, &b).unwrap();
-        assert_eq!(engine.stats().workspaces_created, 2);
-    }
-
-    #[test]
     fn lru_cache_evicts_the_least_recently_used_plan() {
-        let engine = FmmEngine::builder()
-            .threads(1)
-            .cache_capacity(2)
-            .build()
-            .unwrap();
-        let serve = |n: usize, seed: u64| {
-            let (a, b) = random_problem(n, n, n, seed);
-            engine.multiply(&a, &b).unwrap();
-        };
-        serve(16, 1); // miss: cache {16}
-        serve(20, 2); // miss: cache {16, 20}
-        serve(16, 3); // hit: 16 becomes most recent
-        serve(24, 4); // miss: evicts 20 (LRU), cache {16, 24}
-        serve(16, 5); // hit: still cached
-        serve(20, 6); // miss again: was evicted
-        let s = engine.stats();
-        assert_eq!(s.plan_cache_misses, 4);
-        assert_eq!(s.plan_cache_hits, 2);
-        assert!(s.plan_cache_evictions >= 2, "20 evicted, then 16 or 24");
-        assert_eq!(s.plans_cached, 2);
+        // The cache never looks inside a plan, so one serves every key.
+        let plan = Arc::new(
+            Planner::new()
+                .shape(1, 1, 1)
+                .algorithm(&crate::codegen_fixture())
+                .plan::<f64>()
+                .unwrap(),
+        );
+        let key = |n: usize| (n, n, n);
+        let mut cache = PlanCache::new(2);
+        assert_eq!(cache.insert(key(16), Arc::clone(&plan)), 0); // {16}
+        assert_eq!(cache.insert(key(20), Arc::clone(&plan)), 0); // {16, 20}
+        assert!(cache.get(&key(16)).is_some()); // 16 becomes most recent
+        assert_eq!(cache.insert(key(24), Arc::clone(&plan)), 1); // evicts 20
+        assert!(cache.get(&key(20)).is_none(), "20 was least recent");
+        assert!(cache.get(&key(16)).is_some());
+        assert!(cache.get(&key(24)).is_some());
+        assert_eq!(cache.map.len(), 2);
     }
 
     #[test]

@@ -34,10 +34,10 @@
 //!
 //! # Memory model
 //!
-//! Every S/T/M buffer, every CSE temporary and the padding copies are
-//! carved out of a flat `&mut [T]` workspace whose exact size is
-//! computed by walking the recursion tree once ([`required_workspace`]).
-//! The [`crate::Plan`] API computes that size at plan time and reuses a
+//! Every S/T/M buffer and every CSE temporary is carved out of a flat
+//! `&mut [T]` workspace whose exact size is computed by walking the
+//! recursion tree once ([`required_workspace`]). The [`crate::Plan`]
+//! API computes that size at plan time and reuses a
 //! [`crate::Workspace`] across executes, so a warm execute grows no
 //! buffer, which [`ExecStatsSnapshot::workspace_reused`] reports. Small
 //! bookkeeping still allocates on every execute: each node's term lists
@@ -67,23 +67,6 @@ pub enum AdditionMethod {
     /// Each source block read once; all dependent temporaries updated
     /// while it streams through cache.
     Streaming,
-}
-
-/// How non-divisible dimensions are handled (§3.5).
-///
-/// The paper chooses dynamic peeling to limit memory and keep code
-/// generation simple; padding is the classical alternative it compares
-/// against in the discussion, implemented here for the ablation bench.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BorderHandling {
-    /// Fix up remainder strips with thin classical products at every
-    /// recursion level (the paper's choice).
-    #[default]
-    DynamicPeeling,
-    /// Zero-pad the operands up front so every level divides exactly,
-    /// then copy the result back. Simpler, but costs extra memory and
-    /// bandwidth proportional to the padding.
-    Padding,
 }
 
 /// Shared-memory parallelization scheme (§4).
@@ -119,8 +102,8 @@ impl Scheme {
 /// Executor configuration.
 ///
 /// The recursion depth is not an option: [`crate::Planner::steps`],
-/// the §3.4 rule or the schedule length sets it. `Eq`/`Hash` make a
-/// whole configuration usable as a cache key.
+/// the §3.4 rule or the schedule length sets it. Non-divisible
+/// dimensions are always handled by dynamic peeling (§3.5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Options {
     /// Addition-chain evaluation strategy.
@@ -129,8 +112,6 @@ pub struct Options {
     pub cse: bool,
     /// Parallel scheme.
     pub scheme: Scheme,
-    /// Remainder handling for non-divisible dimensions.
-    pub border: BorderHandling,
 }
 
 /// Execution statistics collected by
@@ -142,8 +123,8 @@ pub(crate) struct ExecStats {
     base_gemms: std::sync::atomic::AtomicU64,
     /// Classical fix-up products issued by dynamic peeling.
     peel_gemms: std::sync::atomic::AtomicU64,
-    /// Total scalar elements checked out of the workspace for S/T/M
-    /// temporaries and padding copies.
+    /// Total scalar elements checked out of the workspace for the M_r
+    /// products.
     temp_elements: std::sync::atomic::AtomicU64,
     /// Bitmask of pool workers that executed at least one gemm during
     /// this run (bit 63 stands for any non-worker thread). Feeds
@@ -410,7 +391,7 @@ impl NodeLayout {
             };
             sum(&[len, s, t])
         })?;
-        let child_len = node_workspace(levels, depth + 1, scheme, cp, cq, cr)?;
+        let child_len = required_workspace(levels, depth + 1, scheme, cp, cq, cr)?;
         let children_len = if scheme.concurrent_children() {
             mul(lp.rank, child_len)?
         } else {
@@ -442,8 +423,12 @@ impl NodeLayout {
     }
 }
 
-/// Workspace elements needed by the subtree rooted at `depth`.
-fn node_workspace<T: GemmScalar>(
+/// Exact workspace size (in scalar elements) the subtree rooted at
+/// `depth` needs for a `p × q × r` problem, or
+/// [`PlanError::ShapeOverflow`] when it does not fit in `usize`. One
+/// walk of the recursion tree; at depth 0 this is what
+/// [`crate::Plan::workspace_len`] precomputes.
+pub(crate) fn required_workspace<T: GemmScalar>(
     levels: &[LevelPlan<T>],
     depth: usize,
     scheme: Scheme,
@@ -454,48 +439,6 @@ fn node_workspace<T: GemmScalar>(
     NodeLayout::at(levels, depth, scheme, p, q, r)?.map_or(Ok(0), |l| l.total())
 }
 
-/// Exact workspace size (in scalar elements) a `p × q × r` execution of
-/// this schedule requires, including padding copies when
-/// [`BorderHandling::Padding`] is selected, or
-/// [`PlanError::ShapeOverflow`] when it does not fit in `usize`. One
-/// walk of the recursion tree; this is what
-/// [`crate::Plan::workspace_len`] precomputes.
-pub(crate) fn required_workspace<T: GemmScalar>(
-    levels: &[LevelPlan<T>],
-    opts: &Options,
-    p: usize,
-    q: usize,
-    r: usize,
-) -> Result<usize, PlanError> {
-    if opts.border == BorderHandling::Padding && !levels.is_empty() {
-        let (pp, qq, rr) = padded_dims(levels, p, q, r)?;
-        if (pp, qq, rr) != (p, q, r) {
-            return sum(&[
-                mul(pp, qq)?,
-                mul(mul(qq, T::K_PACK)?, rr)?,
-                mul(pp, rr)?,
-                node_workspace(levels, 0, opts.scheme, pp, qq, rr)?,
-            ]);
-        }
-    }
-    node_workspace(levels, 0, opts.scheme, p, q, r)
-}
-
-/// Dimensions after zero-padding each axis to the full per-level
-/// product so no recursion level ever peels.
-fn padded_dims<T>(
-    levels: &[LevelPlan<T>],
-    p: usize,
-    q: usize,
-    r: usize,
-) -> Result<(usize, usize, usize), PlanError> {
-    let pad = |dim: usize, base: fn(&LevelPlan<T>) -> usize| {
-        let prod = levels.iter().map(base).try_fold(1, mul)?;
-        mul(dim.div_ceil(prod), prod)
-    };
-    Ok((pad(p, |l| l.m)?, pad(q, |l| l.k)?, pad(r, |l| l.n)?))
-}
-
 /// Run the schedule inside `ws`, which must hold at least
 /// [`required_workspace`] elements: the body of
 /// [`crate::Plan::execute`].
@@ -504,7 +447,7 @@ pub(crate) fn execute_on<T: GemmScalar>(
     opts: &Options,
     a: MatRef<'_, T>,
     b: MatRef<'_, T>,
-    mut c: MatMut<'_, T>,
+    c: MatMut<'_, T>,
     stats: Option<&ExecStats>,
     ws: &mut [T],
 ) {
@@ -530,45 +473,6 @@ pub(crate) fn execute_on<T: GemmScalar>(
         // plain bool so recursion leaves never touch the atomic.
         trace: fmm_trace::enabled(),
     };
-    if opts.border == BorderHandling::Padding && !levels.is_empty() {
-        // Pad each dimension to the full per-level product so no
-        // recursion level ever peels.
-        let (p, q, r) = (a.rows(), a.cols(), b.cols());
-        let (pp, qq, rr) = padded_dims(levels, p, q, r).expect("sized at plan time");
-        if (pp, qq, rr) != (p, q, r) {
-            let bqq = qq * T::K_PACK;
-            ctx.count(|s| &s.temp_elements, (pp * qq + bqq * rr + pp * rr) as u64);
-            let (abuf, rest) = ws.split_at_mut(pp * qq);
-            let (bbuf, rest) = rest.split_at_mut(bqq * rr);
-            let (cbuf, rest) = rest.split_at_mut(pp * rr);
-            // The workspace may hold stale values from a previous
-            // execute; the pad frame must be exact zeros.
-            abuf.fill(T::ZERO);
-            bbuf.fill(T::ZERO);
-            kernels::copy(
-                MatMut::from_slice(abuf, pp, qq, qq).into_block(0, 0, p, q),
-                a,
-            );
-            kernels::copy(
-                MatMut::from_slice(bbuf, bqq, rr, rr).into_block(0, 0, b.rows(), r),
-                b,
-            );
-            run_node(
-                &ctx,
-                0,
-                0,
-                MatRef::from_slice(abuf, pp, qq, qq),
-                MatRef::from_slice(bbuf, bqq, rr, rr),
-                MatMut::from_slice(cbuf, pp, rr, rr),
-                rest,
-            );
-            kernels::copy(
-                c.reborrow(),
-                MatRef::from_slice(cbuf, pp, rr, rr).block(0, 0, p, r),
-            );
-            return;
-        }
-    }
     run_node(&ctx, 0, 0, a, b, c, ws);
 }
 
@@ -734,8 +638,8 @@ fn run_node<T: GemmScalar>(
 /// one of the three addition methods (§3.2), on all threads when `par`:
 ///
 /// * write-once: one `lincomb` per destination;
-/// * pairwise: a scaled copy of the first term, then one `axpy` per
-///   further term;
+/// * pairwise: one single-term `lincomb` per term, overwriting with the
+///   first (β = 0) and accumulating the rest (β = 1);
 /// * streaming: zero every destination, then one pass per source in
 ///   source order, updating every destination whose chain reads it.
 fn form<'c, 's, T: Scalar>(
@@ -751,30 +655,17 @@ fn form<'c, 's, T: Scalar>(
             for (chain, dst) in chains.zip(dsts) {
                 terms.clear();
                 terms.extend(chain.iter().map(|&(j, c)| (c, src(j))));
-                if par {
-                    kernels::par_lincomb(dst.reborrow(), T::ZERO, &terms);
-                } else {
-                    kernels::lincomb(dst.reborrow(), T::ZERO, &terms);
-                }
+                lincomb(par, dst.reborrow(), T::ZERO, &terms);
             }
         }
         AdditionMethod::Pairwise => {
             for (chain, dst) in chains.zip(dsts) {
-                let Some((&(j0, c0), rest)) = chain.split_first() else {
+                if chain.is_empty() {
                     dst.fill(T::ZERO);
-                    continue;
-                };
-                if par {
-                    kernels::par_copy(dst.reborrow(), src(j0));
-                    kernels::scale(dst.reborrow(), c0);
-                    for &(j, c) in rest {
-                        kernels::par_axpy(dst.reborrow(), c, src(j));
-                    }
-                } else {
-                    kernels::copy_scaled(dst.reborrow(), c0, src(j0));
-                    for &(j, c) in rest {
-                        kernels::axpy(dst.reborrow(), c, src(j));
-                    }
+                }
+                for (t, &(j, c)) in chain.iter().enumerate() {
+                    let beta = if t == 0 { T::ZERO } else { T::ONE };
+                    lincomb(par, dst.reborrow(), beta, &[(c, src(j))]);
                 }
             }
         }
@@ -804,6 +695,15 @@ fn form<'c, 's, T: Scalar>(
                 }
             }
         }
+    }
+}
+
+/// `dst ← β·dst + Σ c·src` on all threads when `par`.
+fn lincomb<T: Scalar>(par: bool, dst: MatMut<'_, T>, beta: T, terms: &[(T, MatRef<'_, T>)]) {
+    if par {
+        kernels::par_lincomb(dst, beta, terms);
+    } else {
+        kernels::lincomb(dst, beta, terms);
     }
 }
 

@@ -24,9 +24,9 @@
 //!
 //! # Plan once, execute many
 //!
-//! The framework's design space (depth × scheme × additions × border)
-//! only pays off when resolved per machine and problem shape, so the
-//! primary API separates the two phases FFTW-style:
+//! The framework's design space (depth × scheme × additions) only pays
+//! off when resolved per machine and problem shape, so the primary API
+//! separates the two phases FFTW-style:
 //!
 //! * [`Planner`] resolves the configuration — applying the §3.4 cutoff
 //!   rule through a measured [`GemmProfile`], optionally auto-selecting
@@ -118,50 +118,20 @@ pub use accuracy::{
 pub use certificate::PlanCertificate;
 pub use codegen::generate_rust;
 pub use cutoff::GemmProfile;
-pub use engine::{shape_class, EngineBuilder, EngineError, EngineStats, FmmEngine, MultiplyHandle};
-pub use executor::{AdditionMethod, BorderHandling, ExecStatsSnapshot, Options, Scheme};
+pub use engine::{
+    shape_class, EngineBuilder, EngineError, EngineStats, FmmEngine, MultiplyHandle,
+    PLAN_CACHE_CAPACITY,
+};
+pub use executor::{AdditionMethod, ExecStatsSnapshot, Options, Scheme};
 pub use fmm_gemm::{classical_flops, effective_gflops, GemmScalar};
 pub use plan::{cse_stats, CseStats};
 pub use planner::{Plan, PlanError, Planner};
 pub use workspace::Workspace;
 
-use fmm_tensor::Decomposition;
-
-/// Number of leaf (base-case) multiplications a uniform `L`-step run of
-/// the algorithm performs on a divisible problem: `R^L`.
-pub fn leaf_count(dec: &Decomposition, steps: usize) -> u64 {
-    (dec.rank() as u64).pow(steps as u32)
-}
-
-/// Arithmetic-cost model: flops performed by `L` steps of `⟨m,k,n⟩`
-/// rank-`R` recursion on a `P×Q×S` problem (divisible case), counting
-/// base-case classical gemms and all additions. This is the recurrence
-/// of §2.1 generalized to rectangular base cases.
-pub fn flop_model(dec: &Decomposition, p: usize, q: usize, s: usize, steps: usize) -> f64 {
-    if steps == 0 {
-        return fmm_gemm::classical_flops(p, q, s);
-    }
-    let (m, k, n) = dec.base();
-    let adds = dec.addition_count(1e-14) as f64;
-    // additions operate on sub-blocks of sizes (p/m × q/k), (q/k × s/n),
-    // (p/m × s/n) for the U, V, W sides respectively; approximate with
-    // the dominant output-block size for the W side and input sizes
-    // otherwise. An exact split is possible but the aggregate is what
-    // the cost model needs.
-    let sub_u = (p / m) as f64 * (q / k) as f64;
-    let sub_v = (q / k) as f64 * (s / n) as f64;
-    let sub_w = (p / m) as f64 * (s / n) as f64;
-    let u_adds = dec.u.nnz(1e-14).saturating_sub(dec.rank()) as f64;
-    let v_adds = dec.v.nnz(1e-14).saturating_sub(dec.rank()) as f64;
-    let w_adds = adds - u_adds - v_adds;
-    let add_flops = u_adds * sub_u + v_adds * sub_v + w_adds.max(0.0) * sub_w;
-    dec.rank() as f64 * flop_model(dec, p / m, q / k, s / n, steps - 1) + add_flops
-}
-
 /// Strassen fixture shared by in-crate tests (codegen, planner,
 /// cutoff and executor tests all reuse this single U/V/W literal).
 #[cfg(test)]
-pub(crate) fn codegen_fixture() -> Decomposition {
+pub(crate) fn codegen_fixture() -> fmm_tensor::Decomposition {
     let u = fmm_matrix::Matrix::from_rows(&[
         &[1., 0., 1., 0., 1., -1., 0.],
         &[0., 0., 0., 0., 1., 0., 1.],
@@ -180,7 +150,7 @@ pub(crate) fn codegen_fixture() -> Decomposition {
         &[0., 1., 0., 1., 0., 0., 0.],
         &[1., -1., 1., 0., 0., 1., 0.],
     ]);
-    Decomposition::new(2, 2, 2, u, v, w)
+    fmm_tensor::Decomposition::new(2, 2, 2, u, v, w)
 }
 
 #[cfg(test)]
@@ -189,6 +159,7 @@ mod tests {
     use fmm_gemm::naive_gemm;
     use fmm_matrix::{max_abs_diff, Matrix};
     use fmm_tensor::compose::{classical, direct_sum_n, kron_compose};
+    use fmm_tensor::Decomposition;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -339,21 +310,6 @@ mod tests {
         // 1×1×1 and problems smaller than the base case.
         check(&s, (1, 1, 1), 1, Options::default(), 12);
         check(&s, (1, 5, 3), 2, Options::default(), 13);
-    }
-
-    #[test]
-    fn leaf_count_and_flop_model() {
-        let s = strassen();
-        assert_eq!(leaf_count(&s, 2), 49);
-        // One step of Strassen on N×N×N: 7·(2(N/2)³·... ) + 18·(N/2)²;
-        // model must be below classical for large N and above for tiny N.
-        let n = 4096;
-        let fast = flop_model(&s, n, n, n, 3);
-        let classical_cost = fmm_gemm::classical_flops(n, n, n);
-        assert!(fast < classical_cost, "{fast} !< {classical_cost}");
-        let small = flop_model(&s, 8, 8, 8, 2);
-        let classical_small = fmm_gemm::classical_flops(8, 8, 8);
-        assert!(small > 0.8 * classical_small);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 use crate::certificate::{derive_certificate, PlanCertificate};
 use crate::cutoff::GemmProfile;
 use crate::executor::{
-    execute_on, required_workspace, AdditionMethod, BorderHandling, ExecStats, ExecStatsSnapshot,
-    LevelPlan, Options, Scheme,
+    execute_on, required_workspace, AdditionMethod, ExecStats, ExecStatsSnapshot, LevelPlan,
+    Options, Scheme,
 };
 
 /// Cap on the profile-recommended recursion depth.
@@ -59,9 +59,9 @@ pub enum PlanError {
         /// The element type that rejected it.
         dtype: &'static str,
     },
-    /// The shape's padded dimensions or its workspace size do not fit
-    /// in `usize`, or one of its certificate counts (composed rank,
-    /// gemm counts, flops) does not fit in `u64`.
+    /// The shape's workspace size does not fit in `usize`, or one of
+    /// its certificate counts (composed rank, gemm counts, flops) does
+    /// not fit in `u64`.
     ShapeOverflow,
 }
 
@@ -144,7 +144,6 @@ pub struct Planner {
     additions: AdditionMethod,
     cse: bool,
     scheme: Scheme,
-    border: BorderHandling,
 }
 
 impl Default for Planner {
@@ -155,7 +154,7 @@ impl Default for Planner {
 
 impl Planner {
     /// A planner with the executor defaults (write-once additions,
-    /// sequential scheme, dynamic peeling, no CSE).
+    /// sequential scheme, no CSE).
     #[must_use]
     pub fn new() -> Self {
         Planner {
@@ -166,7 +165,6 @@ impl Planner {
             additions: AdditionMethod::WriteOnce,
             cse: false,
             scheme: Scheme::Sequential,
-            border: BorderHandling::DynamicPeeling,
         }
     }
 
@@ -250,20 +248,12 @@ impl Planner {
         self
     }
 
-    /// Remainder handling for non-divisible dimensions (§3.5).
-    #[must_use]
-    pub fn border(mut self, border: BorderHandling) -> Self {
-        self.border = border;
-        self
-    }
-
-    /// Absorb an executor [`Options`] (additions, cse, scheme, border).
+    /// Absorb an executor [`Options`] (additions, cse, scheme).
     #[must_use]
     pub fn options(mut self, opts: Options) -> Self {
         self.additions = opts.additions;
         self.cse = opts.cse;
         self.scheme = opts.scheme;
-        self.border = opts.border;
         self
     }
 
@@ -327,7 +317,6 @@ impl Planner {
             additions: self.additions,
             cse: self.cse,
             scheme: self.scheme,
-            border: self.border,
         };
         let levels: Vec<LevelPlan<T>> = schedule
             .iter()
@@ -341,8 +330,8 @@ impl Planner {
                 })
             })
             .collect::<Result<_, _>>()?;
-        let ws_len = required_workspace(&levels, &opts, shape.0, shape.1, shape.2)?;
-        let certificate = derive_certificate(&levels, &opts, shape)?;
+        let ws_len = required_workspace(&levels, 0, opts.scheme, shape.0, shape.1, shape.2)?;
+        let certificate = derive_certificate(&levels, opts.scheme, shape)?;
         // Audit: the certificate re-derives the workspace footprint
         // from the recursion tree independently of the executor's
         // NodeLayout arithmetic; any disagreement is a sizing bug.
@@ -391,8 +380,8 @@ impl<T: GemmScalar> Plan<T> {
     }
 
     /// Exact workspace requirement in scalar elements: every S/T/M
-    /// buffer, CSE temporary and padding copy of the recursion tree,
-    /// summed with per-task reservations under BFS/HYBRID.
+    /// buffer and CSE temporary of the recursion tree, summed with
+    /// per-task reservations under BFS/HYBRID.
     pub fn workspace_len(&self) -> usize {
         self.ws_len
     }
@@ -626,17 +615,6 @@ mod tests {
                 .shape(huge, huge, huge)
                 .algorithm(&s)
                 .steps(2)
-                .plan::<f64>()
-                .err(),
-            Some(PlanError::ShapeOverflow)
-        );
-        // Padding rounds a dimension up past usize::MAX.
-        assert_eq!(
-            Planner::new()
-                .shape(usize::MAX, 2, 2)
-                .algorithm(&s)
-                .steps(1)
-                .border(BorderHandling::Padding)
                 .plan::<f64>()
                 .err(),
             Some(PlanError::ShapeOverflow)

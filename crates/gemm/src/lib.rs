@@ -23,14 +23,12 @@
 //! same number of vector registers, twice the elements per register —
 //! which is where the dtype's 2× SIMD/bandwidth advantage materializes.
 
-mod config;
 mod naive;
 mod packed;
 mod parallel;
 
-pub use config::GemmConfig;
 pub use naive::naive_gemm;
-pub use parallel::{par_gemm, par_gemm_with};
+pub use parallel::par_gemm;
 
 use fmm_matrix::{DenseMatrix, MatMut, MatRef, Scalar};
 
@@ -50,34 +48,30 @@ pub trait GemmScalar: Scalar {
     /// Sequential packed `C ← α·A·B + β·C` with this scalar's register
     /// tile.
     fn packed_gemm(
-        cfg: &GemmConfig,
         alpha: Self,
         a: MatRef<'_, Self>,
         b: MatRef<'_, Self>,
         beta: Self,
         c: MatMut<'_, Self>,
     ) {
-        let _ = cfg;
         naive_gemm(alpha, a, b, beta, c);
     }
 }
 
 impl GemmScalar for f64 {
     fn packed_gemm(
-        cfg: &GemmConfig,
         alpha: Self,
         a: MatRef<'_, Self>,
         b: MatRef<'_, Self>,
         beta: Self,
         c: MatMut<'_, Self>,
     ) {
-        packed::gemm_tiles::<f64, { packed::MR }, { packed::NR }>(cfg, alpha, a, b, beta, c);
+        packed::gemm_tiles::<f64, { packed::MR }, { packed::NR }>(alpha, a, b, beta, c);
     }
 }
 
 impl GemmScalar for f32 {
     fn packed_gemm(
-        cfg: &GemmConfig,
         alpha: Self,
         a: MatRef<'_, Self>,
         b: MatRef<'_, Self>,
@@ -85,23 +79,11 @@ impl GemmScalar for f32 {
         c: MatMut<'_, Self>,
     ) {
         // Same register budget as the f64 tile, twice the lanes.
-        packed::gemm_tiles::<f32, 4, 16>(cfg, alpha, a, b, beta, c);
+        packed::gemm_tiles::<f32, 4, 16>(alpha, a, b, beta, c);
     }
 }
 
-/// Sequential `C ← α·A·B + β·C` with explicit blocking configuration.
-pub fn gemm_with<T: GemmScalar>(
-    cfg: &GemmConfig,
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    beta: T,
-    c: MatMut<'_, T>,
-) {
-    T::packed_gemm(cfg, alpha, a, b, beta, c);
-}
-
-/// Sequential `C ← α·A·B + β·C` with the default blocking configuration.
+/// Sequential `C ← α·A·B + β·C`.
 ///
 /// Shapes: `A: m×k`, `B: k×n`, `C: m×n`.
 pub fn gemm<T: GemmScalar>(
@@ -111,7 +93,7 @@ pub fn gemm<T: GemmScalar>(
     beta: T,
     c: MatMut<'_, T>,
 ) {
-    gemm_with(&GemmConfig::default(), alpha, a, b, beta, c);
+    T::packed_gemm(alpha, a, b, beta, c);
 }
 
 /// Convenience wrapper: `C = A·B` as a new owned matrix.

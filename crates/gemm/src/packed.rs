@@ -12,8 +12,10 @@
 //! original f64-only kernel) and `4 × 16` for `f32`, which keeps the
 //! accumulator footprint at the same number of vector registers while
 //! doubling the elements per register.
+//!
+//! The loop tile sizes are constants for every element type: `MC × KC`
+//! panels of `A` are packed to fit in L2, `KC × NC` panels of `B` in L3.
 
-use crate::config::GemmConfig;
 use crate::naive::naive_gemm;
 use fmm_matrix::{MatMut, MatRef, Scalar};
 
@@ -22,10 +24,19 @@ pub const MR: usize = 4;
 /// Microkernel tile columns of the `f64` instantiation.
 pub const NR: usize = 8;
 
-/// Sequential `C ← α·A·B + β·C` with explicit blocking configuration
-/// and a compile-time `MR_ × NR_` register tile.
+/// Rows of the packed `A` panel.
+const MC: usize = 128;
+/// Shared (inner) dimension of both packed panels.
+const KC: usize = 256;
+/// Columns of the packed `B` panel.
+const NC: usize = 2048;
+/// Problems with `max(m, k, n)` at or below this size skip packing and
+/// use the direct small-kernel path (packing overhead dominates there).
+const SMALL_CUTOFF: usize = 32;
+
+/// Sequential `C ← α·A·B + β·C` with a compile-time `MR_ × NR_`
+/// register tile.
 pub(crate) fn gemm_tiles<T: Scalar, const MR_: usize, const NR_: usize>(
-    cfg: &GemmConfig,
     alpha: T,
     a: MatRef<'_, T>,
     b: MatRef<'_, T>,
@@ -56,25 +67,25 @@ pub(crate) fn gemm_tiles<T: Scalar, const MR_: usize, const NR_: usize>(
         return;
     }
 
-    if m.max(n).max(k) <= cfg.small_cutoff {
+    if m.max(n).max(k) <= SMALL_CUTOFF {
         // Packing overhead dominates tiny products; accumulate directly.
         naive_gemm(alpha, a, b, T::ONE, c);
         return;
     }
 
-    let mut apack = vec![T::ZERO; cfg.mc.div_ceil(MR_) * MR_ * cfg.kc];
-    let mut bpack = vec![T::ZERO; cfg.kc * cfg.nc.div_ceil(NR_) * NR_];
+    let mut apack = vec![T::ZERO; MC.div_ceil(MR_) * MR_ * KC];
+    let mut bpack = vec![T::ZERO; KC * NC.div_ceil(NR_) * NR_];
 
     let mut jc = 0;
     while jc < n {
-        let nc_eff = cfg.nc.min(n - jc);
+        let nc_eff = NC.min(n - jc);
         let mut pc = 0;
         while pc < k {
-            let kc_eff = cfg.kc.min(k - pc);
+            let kc_eff = KC.min(k - pc);
             pack_b::<T, NR_>(&mut bpack, &b, pc, jc, kc_eff, nc_eff);
             let mut ic = 0;
             while ic < m {
-                let mc_eff = cfg.mc.min(m - ic);
+                let mc_eff = MC.min(m - ic);
                 pack_a::<T, MR_>(&mut apack, &a, ic, pc, mc_eff, kc_eff, alpha);
                 macro_kernel::<T, MR_, NR_>(
                     &apack,
@@ -219,7 +230,7 @@ fn micro_kernel<T: Scalar, const MR_: usize, const NR_: usize>(
 
 #[cfg(test)]
 mod tests {
-    use crate::{gemm_with, GemmConfig};
+    use crate::gemm;
     use fmm_matrix::{max_abs_diff, DenseMatrix, Matrix};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -234,14 +245,7 @@ mod tests {
         let mut c_ref = c0.clone();
         let mut c_pack = c0.clone();
         naive_gemm(alpha, a.as_ref(), b.as_ref(), beta, c_ref.as_mut());
-        gemm_with(
-            &GemmConfig::default(),
-            alpha,
-            a.as_ref(),
-            b.as_ref(),
-            beta,
-            c_pack.as_mut(),
-        );
+        gemm(alpha, a.as_ref(), b.as_ref(), beta, c_pack.as_mut());
         let d = max_abs_diff(&c_ref.as_ref(), &c_pack.as_ref()).unwrap();
         assert!(
             d < 1e-10 * (k as f64).max(1.0),
@@ -257,14 +261,7 @@ mod tests {
         let mut c_ref = c0.clone();
         let mut c_pack = c0.clone();
         naive_gemm(alpha, a.as_ref(), b.as_ref(), beta, c_ref.as_mut());
-        gemm_with(
-            &GemmConfig::default(),
-            alpha,
-            a.as_ref(),
-            b.as_ref(),
-            beta,
-            c_pack.as_mut(),
-        );
+        gemm(alpha, a.as_ref(), b.as_ref(), beta, c_pack.as_mut());
         let d = max_abs_diff(&c_ref.as_ref(), &c_pack.as_ref()).unwrap();
         assert!(
             d < 1e-4 * (k as f64).max(1.0),
@@ -305,22 +302,10 @@ mod tests {
     }
 
     #[test]
-    fn tiny_blocks_configuration() {
-        // Exercise many panel edges with deliberately small tiles.
-        let cfg = GemmConfig {
-            mc: 8,
-            kc: 8,
-            nc: 16,
-            small_cutoff: 2,
-        };
-        let mut rng = StdRng::seed_from_u64(11);
-        let a = Matrix::random(37, 29, &mut rng);
-        let b = Matrix::random(29, 41, &mut rng);
-        let mut c1 = Matrix::zeros(37, 41);
-        let mut c2 = Matrix::zeros(37, 41);
-        naive_gemm(1.0, a.as_ref(), b.as_ref(), 0.0, c1.as_mut());
-        gemm_with(&cfg, 1.0, a.as_ref(), b.as_ref(), 0.0, c2.as_mut());
-        assert!(max_abs_diff(&c1.as_ref(), &c2.as_ref()).unwrap() < 1e-11);
+    fn shapes_straddle_the_block_edges() {
+        check(131, 259, 37, 1.0, 0.0, 11); // crosses MC and KC
+        check(5, 3, 2053, 1.0, 0.0, 12); // crosses NC
+        check(33, 33, 33, -0.5, 0.5, 13); // just above SMALL_CUTOFF
     }
 
     #[test]
@@ -334,7 +319,7 @@ mod tests {
         let mut c1 = Matrix::zeros(40, 50);
         let mut c2 = Matrix::zeros(40, 50);
         naive_gemm(1.0, a, b, 0.0, c1.as_mut());
-        gemm_with(&GemmConfig::default(), 1.0, a, b, 0.0, c2.as_mut());
+        gemm(1.0, a, b, 0.0, c2.as_mut());
         assert!(max_abs_diff(&c1.as_ref(), &c2.as_ref()).unwrap() < 1e-11);
     }
 
@@ -343,14 +328,7 @@ mod tests {
         let a = Matrix::zeros(3, 0);
         let b = Matrix::zeros(0, 3);
         let mut c = Matrix::filled(3, 3, 9.0);
-        gemm_with(
-            &GemmConfig::default(),
-            1.0,
-            a.as_ref(),
-            b.as_ref(),
-            0.0,
-            c.as_mut(),
-        );
+        gemm(1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
         assert_eq!(c, Matrix::zeros(3, 3));
     }
 }

@@ -9,10 +9,9 @@
 //! how the harness reproduces the paper's 6-core vs 24-core sweeps at
 //! this machine's scale — or under an `FMM_THREADS` override.
 
-use crate::config::GemmConfig;
 use fmm_matrix::{MatMut, MatRef};
 
-use crate::{gemm_with, GemmScalar};
+use crate::{gemm, GemmScalar};
 
 /// Below this many output elements a split is never worthwhile.
 const MIN_PAR_ELEMS: usize = 64 * 64;
@@ -22,21 +21,8 @@ const MIN_PAR_ELEMS: usize = 64 * 64;
 /// (or a pool that grew between calls) still finds something to take.
 const OVERSPLIT: usize = 2;
 
-/// Parallel `C ← α·A·B + β·C` using the current rayon pool and the
-/// default blocking configuration.
+/// Parallel `C ← α·A·B + β·C` using the current rayon pool.
 pub fn par_gemm<T: GemmScalar>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    beta: T,
-    c: MatMut<'_, T>,
-) {
-    par_gemm_with(&GemmConfig::default(), alpha, a, b, beta, c);
-}
-
-/// Parallel gemm with explicit blocking configuration.
-pub fn par_gemm_with<T: GemmScalar>(
-    cfg: &GemmConfig,
     alpha: T,
     a: MatRef<'_, T>,
     b: MatRef<'_, T>,
@@ -52,11 +38,10 @@ pub fn par_gemm_with<T: GemmScalar>(
     // only add packing overhead to single-thread baselines.
     let width = rayon::current_num_threads();
     let ways = if width > 1 { width * OVERSPLIT } else { 1 };
-    split_run(cfg, alpha, a, b, beta, c, ways);
+    split_run(alpha, a, b, beta, c, ways);
 }
 
 fn split_run<T: GemmScalar>(
-    cfg: &GemmConfig,
     alpha: T,
     a: MatRef<'_, T>,
     b: MatRef<'_, T>,
@@ -66,7 +51,7 @@ fn split_run<T: GemmScalar>(
 ) {
     let (m, n) = (c.rows(), c.cols());
     if ways <= 1 || m * n <= MIN_PAR_ELEMS || (m < 2 && n < 2) {
-        gemm_with(cfg, alpha, a, b, beta, c);
+        gemm(alpha, a, b, beta, c);
         return;
     }
     let lo_ways = ways / 2;
@@ -88,8 +73,8 @@ fn split_run<T: GemmScalar>(
         let atop = a.block(0, 0, mid, a.cols());
         let abot = a.block(mid, 0, m - mid, a.cols());
         rayon::join(
-            || split_run(cfg, alpha, atop, b, beta, ctop, hi_ways),
-            || split_run(cfg, alpha, abot, b, beta, cbot, lo_ways),
+            || split_run(alpha, atop, b, beta, ctop, hi_ways),
+            || split_run(alpha, abot, b, beta, cbot, lo_ways),
         );
     } else {
         let mid = n / 2;
@@ -97,8 +82,8 @@ fn split_run<T: GemmScalar>(
         let bleft = b.block(0, 0, b.rows(), mid);
         let bright = b.block(0, mid, b.rows(), n - mid);
         rayon::join(
-            || split_run(cfg, alpha, a, bleft, beta, cleft, hi_ways),
-            || split_run(cfg, alpha, a, bright, beta, cright, lo_ways),
+            || split_run(alpha, a, bleft, beta, cleft, hi_ways),
+            || split_run(alpha, a, bright, beta, cright, lo_ways),
         );
     }
 }

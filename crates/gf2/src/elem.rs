@@ -21,7 +21,6 @@
 //! ones or all zeros, so scaling a block by it keeps or clears it.
 
 use crate::matrix::WORD_BITS;
-use fmm_gemm::GemmConfig;
 use fmm_matrix::{MatMut, MatRef, Scalar};
 use rand::Rng;
 use std::fmt;
@@ -294,7 +293,6 @@ impl fmm_gemm::GemmScalar for Gf2Word {
     const K_PACK: usize = WORD_BITS;
 
     fn packed_gemm(
-        _cfg: &GemmConfig,
         alpha: Self,
         a: MatRef<'_, Self>,
         b: MatRef<'_, Self>,

@@ -56,4 +56,4 @@ mod plan;
 
 pub use elem::{Gf2, Gf2Word};
 pub use matrix::{Gf2Matrix, WORD_BITS};
-pub use plan::{measure_m4rm_profile, Gf2Plan, Gf2Planner, Gf2Workspace, GF2_CUTOFF_BITS};
+pub use plan::{Gf2Plan, Gf2Planner, Gf2Workspace, GF2_CUTOFF_BITS};

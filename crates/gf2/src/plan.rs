@@ -10,8 +10,8 @@
 //! and emits the same `fmm-trace` spans as for floats. This module adds
 //! only what is GF(2)-specific:
 //!
-//! * the depth rule: the fixed [`GF2_CUTOFF_BITS`] bit cutoff, or the
-//!   §3.4 rule on a measured M4RM profile ([`Gf2Planner::profile`]);
+//! * the depth rule: an explicit [`Gf2Planner::steps`], or the fixed
+//!   [`GF2_CUTOFF_BITS`] bit cutoff;
 //! * the mod-2 lift check (odd → 1, even → 0, fractional →
 //!   [`PlanError::UnrepresentableCoefficient`], the rule of
 //!   [`Gf2::from_coeff`]), so an APA scheme fails at plan time at any
@@ -23,16 +23,14 @@
 
 use crate::matrix::{Gf2Matrix, WORD_BITS};
 use crate::{Gf2, Gf2Word};
-use fmm_core::{GemmProfile, Plan, PlanError, Planner, Scheme, Workspace};
-use fmm_gemm::classical_flops;
+use fmm_core::{Plan, PlanError, Planner, Scheme, Workspace};
 use fmm_matrix::{DenseMatrix, Scalar};
 use fmm_tensor::Decomposition;
-use std::time::Instant;
 
-/// Fallback recursion cutoff (bits): without a measured profile, take a
-/// Strassen step only while the *smallest* problem dimension stays at
-/// or above this after the split. Below ~1k bits the O(n²) block XORs
-/// rival the saved eighth of the M4RM word-ops.
+/// Recursion cutoff (bits): without explicit steps, take a Strassen
+/// step only while the *smallest* problem dimension stays at or above
+/// this after the split. Below ~1k bits the O(n²) block XORs rival the
+/// saved eighth of the M4RM word-ops.
 pub const GF2_CUTOFF_BITS: usize = 1024;
 
 /// Depth ceiling for automatic selection.
@@ -44,7 +42,6 @@ pub struct Gf2Planner {
     shape: Option<(usize, usize, usize)>,
     algorithm: Option<Decomposition>,
     steps: Option<usize>,
-    profile: Option<GemmProfile>,
 }
 
 impl Default for Gf2Planner {
@@ -60,7 +57,6 @@ impl Gf2Planner {
             shape: None,
             algorithm: None,
             steps: None,
-            profile: None,
         }
     }
 
@@ -84,14 +80,6 @@ impl Gf2Planner {
         self
     }
 
-    /// Pick the depth with the §3.4 cutoff rule against a measured
-    /// M4RM rate profile (see [`measure_m4rm_profile`]) instead of the
-    /// fixed [`GF2_CUTOFF_BITS`] heuristic.
-    pub fn profile(mut self, profile: GemmProfile) -> Self {
-        self.profile = Some(profile);
-        self
-    }
-
     /// Build the immutable plan: check the mod-2 lift, choose the
     /// depth, and plan the word-shaped product on the core executor.
     /// The pool width at plan time picks the scheme.
@@ -112,19 +100,15 @@ impl Gf2Planner {
 
         let min_dim = m.min(k).min(n);
         let shrink = dec.m.max(dec.k).max(dec.n).max(1);
-        let depth = match (self.steps, &self.profile) {
-            (Some(s), _) => s,
-            (None, Some(p)) => p.recommended_steps(&dec, min_dim, MAX_STEPS),
-            (None, None) => {
-                let mut steps = 0;
-                let mut cur = min_dim;
-                while steps < MAX_STEPS && cur / shrink >= GF2_CUTOFF_BITS {
-                    cur /= shrink;
-                    steps += 1;
-                }
-                steps
+        let depth = self.steps.unwrap_or_else(|| {
+            let mut steps = 0;
+            let mut cur = min_dim;
+            while steps < MAX_STEPS && cur / shrink >= GF2_CUTOFF_BITS {
+                cur /= shrink;
+                steps += 1;
             }
-        };
+            steps
+        });
 
         let parallel = fmm_runtime::current_num_threads() > 1;
         let plan = Planner::new()
@@ -266,32 +250,6 @@ impl Gf2Workspace {
     }
 }
 
-/// Measure the M4RM kernel's effective classical-word-op rate at the
-/// given square sizes (same inverse-time scale as
-/// [`fmm_gemm::effective_gflops`], with "flop" read as "bit op"), for
-/// feeding [`Gf2Planner::profile`] — the GF(2) analogue of
-/// [`GemmProfile::measure`].
-pub fn measure_m4rm_profile(sizes: &[usize]) -> GemmProfile {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    let mut rng = StdRng::seed_from_u64(0x6f2);
-    let mut samples = Vec::with_capacity(sizes.len());
-    for &n in sizes {
-        let a = Gf2Matrix::random(n, n, &mut rng);
-        let b = Gf2Matrix::random(n, n, &mut rng);
-        let _warm = a.mul_m4rm(&b);
-        let mut best = 0.0f64;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            let _ = a.mul_m4rm(&b);
-            let secs = t0.elapsed().as_secs_f64().max(1e-9);
-            best = best.max(classical_flops(n, n, n) / secs * 1e-9);
-        }
-        samples.push((n, best));
-    }
-    GemmProfile::from_samples(samples)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,26 +363,6 @@ mod tests {
         let big = Gf2Planner::new().shape(4096, 4096, 4096).plan().unwrap();
         assert!(big.depth() >= 1, "4096 bits should recurse");
         assert!(big.depth() <= 3);
-    }
-
-    #[test]
-    fn profile_drives_depth_via_cutoff_rule() {
-        // A flat word-op profile approves recursion (the §3.4 rule);
-        // a steep ramp blocks it. Reuses GemmProfile verbatim.
-        let flat = GemmProfile::from_samples(vec![(64, 4.0), (8192, 4.0)]);
-        let plan = Gf2Planner::new()
-            .shape(4096, 4096, 4096)
-            .profile(flat)
-            .plan()
-            .unwrap();
-        assert_eq!(plan.depth(), 3);
-        let steep = GemmProfile::from_samples(vec![(64, 1.0), (128, 2.0), (8192, 64.0)]);
-        let plan = Gf2Planner::new()
-            .shape(4096, 4096, 4096)
-            .profile(steep)
-            .plan()
-            .unwrap();
-        assert_eq!(plan.depth(), 0);
     }
 
     #[test]

@@ -3,15 +3,16 @@
 //! These are the building blocks for the three addition strategies the
 //! paper studies in §3.2:
 //!
-//! * **pairwise** — a sequence of [`axpy`] calls, one per term of the
-//!   addition chain (the `daxpy` strategy);
+//! * **pairwise** — one single-term [`lincomb`] per term of the
+//!   addition chain, `β = 0` for the first and `β = 1` (the `daxpy`
+//!   step) for the rest;
 //! * **write-once** — a single [`lincomb`] pass writing each output
 //!   entry exactly once while reading every source;
 //! * **streaming** — [`stream_update`] reads a source block once while
 //!   updating *all* temporaries that depend on it.
 //!
 //! Each kernel has a rayon-parallel counterpart (`par_*`) that splits on
-//! rows with a configurable grain, which is how the DFS scheme
+//! rows at [`PAR_GRAIN_ROWS`], which is how the DFS scheme
 //! parallelizes matrix additions (§4.1: "matrix additions are trivially
 //! parallelized").
 //!
@@ -25,48 +26,13 @@ use crate::view::{MatMut, MatRef};
 /// Row count below which parallel kernels stop splitting.
 pub const PAR_GRAIN_ROWS: usize = 64;
 
-/// `dst ← src` (the copy that starts a pairwise addition chain).
-pub fn copy<T: Scalar>(mut dst: MatMut<'_, T>, src: MatRef<'_, T>) {
-    debug_assert_eq!(dst.rows(), src.rows());
-    debug_assert_eq!(dst.cols(), src.cols());
-    for i in 0..dst.rows() {
-        dst.row_mut(i).copy_from_slice(src.row(i));
-    }
-}
-
-/// `dst ← α·src`.
-pub fn copy_scaled<T: Scalar>(mut dst: MatMut<'_, T>, alpha: T, src: MatRef<'_, T>) {
-    debug_assert_eq!(dst.rows(), src.rows());
-    debug_assert_eq!(dst.cols(), src.cols());
-    for i in 0..dst.rows() {
-        let d = dst.row_mut(i);
-        let s = src.row(i);
-        for j in 0..d.len() {
-            d[j] = alpha * s[j];
-        }
-    }
-}
-
-/// `dst ← dst + α·src` — the `daxpy` primitive of the pairwise strategy.
-pub fn axpy<T: Scalar>(mut dst: MatMut<'_, T>, alpha: T, src: MatRef<'_, T>) {
-    debug_assert_eq!(dst.rows(), src.rows());
-    debug_assert_eq!(dst.cols(), src.cols());
-    for i in 0..dst.rows() {
-        let d = dst.row_mut(i);
-        let s = src.row(i);
-        for j in 0..d.len() {
-            d[j] += alpha * s[j];
-        }
-    }
-}
-
 /// `dst ← β·dst + Σ_t α_t·src_t` in a single pass over `dst`.
 ///
 /// With `beta = 0` this is the **write-once** evaluation of an addition
 /// chain: every destination entry is written exactly once, every source
 /// is read exactly once (§3.2, variant 2). With `beta = 1` it accumulates
-/// into the existing contents (used when combining output strips under
-/// dynamic peeling).
+/// into the existing contents; a single term with `beta = 1` is the
+/// `daxpy` step of the pairwise strategy (§3.2, variant 1).
 pub fn lincomb<T: Scalar>(mut dst: MatMut<'_, T>, beta: T, terms: &[(T, MatRef<'_, T>)]) {
     let (rows, cols) = (dst.rows(), dst.cols());
     for (_, s) in terms {
@@ -203,32 +169,6 @@ pub fn par_lincomb<T: Scalar>(dst: MatMut<'_, T>, beta: T, terms: &[(T, MatRef<'
     );
 }
 
-/// Parallel [`axpy`].
-pub fn par_axpy<T: Scalar>(dst: MatMut<'_, T>, alpha: T, src: MatRef<'_, T>) {
-    if dst.rows() <= PAR_GRAIN_ROWS {
-        axpy(dst, alpha, src);
-        return;
-    }
-    let mid = dst.rows() / 2;
-    let (top, bot) = dst.split_at_row(mid);
-    let st = src.block(0, 0, mid, src.cols());
-    let sb = src.block(mid, 0, src.rows() - mid, src.cols());
-    rayon::join(|| par_axpy(top, alpha, st), || par_axpy(bot, alpha, sb));
-}
-
-/// Parallel [`copy`].
-pub fn par_copy<T: Scalar>(dst: MatMut<'_, T>, src: MatRef<'_, T>) {
-    if dst.rows() <= PAR_GRAIN_ROWS {
-        copy(dst, src);
-        return;
-    }
-    let mid = dst.rows() / 2;
-    let (top, bot) = dst.split_at_row(mid);
-    let st = src.block(0, 0, mid, src.cols());
-    let sb = src.block(mid, 0, src.rows() - mid, src.cols());
-    rayon::join(|| par_copy(top, st), || par_copy(bot, sb));
-}
-
 /// Parallel [`stream_update`]: splits the source and every destination
 /// on rows and streams each half under rayon `join`. Used by the DFS
 /// scheme, which parallelizes *all* additions (§4.1), when the
@@ -270,24 +210,16 @@ mod tests {
     }
 
     #[test]
-    fn axpy_matches_reference() {
+    fn single_term_lincomb_is_the_pairwise_step() {
+        // β = 0 writes a scaled copy, β = 1 is `daxpy`, both rounding
+        // exactly like the expression they stand for.
         let a = rand_mat(7, 5, 1);
         let mut c = rand_mat(7, 5, 2);
         let expect = Matrix::from_fn(7, 5, |i, j| c[(i, j)] + 2.5 * a[(i, j)]);
-        axpy(c.as_mut(), 2.5, a.as_ref());
+        lincomb(c.as_mut(), 1.0, &[(2.5, a.as_ref())]);
         assert_eq!(c, expect);
-    }
-
-    #[test]
-    fn copy_scaled_matches_reference() {
-        let a = rand_mat(4, 9, 3);
-        let mut c = Matrix::zeros(4, 9);
-        copy_scaled(c.as_mut(), -0.5, a.as_ref());
-        for i in 0..4 {
-            for j in 0..9 {
-                assert_eq!(c[(i, j)], -0.5 * a[(i, j)]);
-            }
-        }
+        lincomb(c.as_mut(), 0.0, &[(-0.5, a.as_ref())]);
+        assert_eq!(c, Matrix::from_fn(7, 5, |i, j| -0.5 * a[(i, j)]));
     }
 
     #[test]
@@ -332,7 +264,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_update_matches_axpy_sequence() {
+    fn stream_update_matches_pairwise_steps() {
         let src = rand_mat(5, 4, 9);
         let mut t1 = rand_mat(5, 4, 10);
         let mut t2 = rand_mat(5, 4, 11);
@@ -342,8 +274,8 @@ mod tests {
             let mut dsts = vec![(1.5, t1.as_mut()), (-3.0, t2.as_mut())];
             stream_update(&mut dsts, src.as_ref());
         }
-        axpy(r1.as_mut(), 1.5, src.as_ref());
-        axpy(r2.as_mut(), -3.0, src.as_ref());
+        lincomb(r1.as_mut(), 1.0, &[(1.5, src.as_ref())]);
+        lincomb(r2.as_mut(), 1.0, &[(-3.0, src.as_ref())]);
         assert_eq!(t1, r1);
         assert_eq!(t2, r2);
     }
@@ -360,13 +292,9 @@ mod tests {
 
         let mut d_seq = a.clone();
         let mut d_par = a.clone();
-        axpy(d_seq.as_mut(), -1.25, b.as_ref());
-        par_axpy(d_par.as_mut(), -1.25, b.as_ref());
+        lincomb(d_seq.as_mut(), 1.0, &[(-1.25, b.as_ref())]);
+        par_lincomb(d_par.as_mut(), 1.0, &[(-1.25, b.as_ref())]);
         assert_eq!(d_seq, d_par);
-
-        let mut e = Matrix::zeros(300, 17);
-        par_copy(e.as_mut(), a.as_ref());
-        assert_eq!(e, a);
     }
 
     #[test]
@@ -421,8 +349,8 @@ mod tests {
                 assert_eq!(c64[(i, j)], c32[(i, j)] as f64);
             }
         }
-        axpy(c32.as_mut(), 3.0, a32.as_ref());
-        axpy(c64.as_mut(), 3.0, a64.as_ref());
+        lincomb(c32.as_mut(), 1.0, &[(3.0, a32.as_ref())]);
+        lincomb(c64.as_mut(), 1.0, &[(3.0, a64.as_ref())]);
         assert_eq!(c64[(4, 3)], c32[(4, 3)] as f64);
     }
 }

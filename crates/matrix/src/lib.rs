@@ -11,8 +11,8 @@
 //! * [`MatRef`] / [`MatMut`] — borrowed, possibly strided views used to
 //!   address submatrix blocks without copying. All recursive block
 //!   arithmetic in `fmm-core` operates on views.
-//! * [`kernels`] — the bandwidth-bound addition kernels (`axpy`,
-//!   write-once linear combinations, streaming scatter updates) that
+//! * [`kernels`] — the bandwidth-bound addition kernels (linear
+//!   combinations `lincomb`, streaming scatter updates) that
 //!   implement the three addition strategies of §3.2, in both sequential
 //!   and rayon-parallel forms.
 //! * [`partition`] — block-grid partitioning and the dynamic-peeling

@@ -9,8 +9,8 @@
 //! products.
 
 use crate::wire::{
-    decode_matrix, encode_matrix, read_frame, write_frame, ErrorCode, Frame, WireError, WireScalar,
-    MAX_FRAME,
+    decode_matrix, encode_matrix, multiply_payload_lens, read_frame, write_frame, ErrorCode, Frame,
+    WireError, WireScalar, MAX_FRAME,
 };
 use fmm_matrix::DenseMatrix;
 use std::io;
@@ -41,7 +41,8 @@ pub enum ServeError {
         /// Rows of B.
         b_rows: usize,
     },
-    /// The operands exceed what one frame may carry ([`MAX_FRAME`]).
+    /// The request (both operands) or its response (the product) would
+    /// exceed what one frame may carry ([`MAX_FRAME`]).
     TooLarge,
 }
 
@@ -58,7 +59,12 @@ impl std::fmt::Display for ServeError {
                     "inner dimension mismatch: A has {a_cols} cols, B has {b_rows} rows"
                 )
             }
-            ServeError::TooLarge => write!(f, "operands exceed the {MAX_FRAME}-byte frame cap"),
+            ServeError::TooLarge => {
+                write!(
+                    f,
+                    "operands or product exceed the {MAX_FRAME}-byte frame cap"
+                )
+            }
         }
     }
 }
@@ -152,13 +158,12 @@ impl ServeClient {
                 b_rows: kb,
             });
         }
-        let elem = std::mem::size_of::<T>();
-        let too_big = |rows: usize, cols: usize| {
-            rows > u32::MAX as usize
-                || cols > u32::MAX as usize
-                || rows.saturating_mul(cols).saturating_mul(elem) > MAX_FRAME
-        };
-        if too_big(m, ka) || too_big(kb, n) || too_big(m, n) {
+        // One request carries both operands and one response the
+        // product, each behind its header.
+        let fits = [m, ka, n].iter().all(|&d| d <= u32::MAX as usize)
+            && multiply_payload_lens(m, ka, n, T::DTYPE)
+                .is_some_and(|(request, response)| request.max(response) <= MAX_FRAME);
+        if !fits {
             return Err(ServeError::TooLarge);
         }
         Ok(Frame::MultiplyReq {

@@ -18,8 +18,8 @@
 
 use crate::stats::ShardStatsReport;
 use crate::wire::{
-    decode_matrix, encode_matrix, read_frame, write_frame, ErrorCode, Frame, WireDtype, WireError,
-    WireScalar, MAX_FRAME,
+    decode_matrix, encode_matrix, multiply_payload_lens, read_frame, write_frame, ErrorCode, Frame,
+    WireDtype, WireError, WireScalar, MAX_FRAME,
 };
 use fmm_core::{EngineError, FmmEngine};
 use std::io;
@@ -127,12 +127,12 @@ impl ShardState {
         if *m == 0 || *k == 0 || *n == 0 {
             return error(id, ErrorCode::Shape, "zero-sized dimension");
         }
-        // The product must fit in one response frame, the client's own
-        // rule: small operands can still ask for a huge `m × n`.
-        let product_bytes = dtype.element_size().map_or(0, |elem| {
-            (*m as u64 * *n as u64).saturating_mul(elem as u64)
-        });
-        if product_bytes > MAX_FRAME as u64 {
+        // Request and response must each fit in one frame, headers
+        // included, the client's own rule: small operands can still ask
+        // for a huge `m × n`.
+        let fits = multiply_payload_lens(*m as usize, *k as usize, *n as usize, *dtype)
+            .is_some_and(|(request, response)| request.max(response) <= MAX_FRAME);
+        if !fits {
             return error(
                 id,
                 ErrorCode::Shape,

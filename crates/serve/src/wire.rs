@@ -32,6 +32,14 @@ pub const MAX_FRAME: usize = 1 << 28; // 256 MiB
 /// Fixed header bytes in every payload: version, kind, request id.
 const HEADER: usize = 1 + 1 + 8;
 
+/// Payload bytes ahead of the operands of a multiply request: header,
+/// dtype, `m`, `k`, `n`.
+const MULTIPLY_REQ_HEADER: usize = HEADER + 1 + 3 * 4;
+
+/// Payload bytes ahead of the product of a multiply response: header,
+/// dtype, `m`, `n`.
+const MULTIPLY_OK_HEADER: usize = HEADER + 1 + 2 * 4;
+
 /// Element type of a matrix travelling on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WireDtype {
@@ -528,6 +536,26 @@ impl Frame {
     }
 }
 
+/// Payload lengths in bytes of the multiply request for an `m × k × n`
+/// product of `dtype` (both operands behind their header) and of its
+/// response (the product behind its header). A product can be served
+/// only when both are at most [`MAX_FRAME`]. `None` when a length does
+/// not fit in `usize` or `dtype` has no wire element size.
+pub fn multiply_payload_lens(
+    m: usize,
+    k: usize,
+    n: usize,
+    dtype: WireDtype,
+) -> Option<(usize, usize)> {
+    let elem = dtype.element_size()?;
+    let bytes = |rows: usize, cols: usize| rows.checked_mul(cols)?.checked_mul(elem);
+    let request = bytes(m, k)?
+        .checked_add(bytes(k, n)?)?
+        .checked_add(MULTIPLY_REQ_HEADER)?;
+    let response = bytes(m, n)?.checked_add(MULTIPLY_OK_HEADER)?;
+    Some((request, response))
+}
+
 /// Byte count of an `rows × cols` matrix of `dtype`, rejecting
 /// products that overflow or exceed the frame cap.
 fn checked_bytes(rows: u32, cols: u32, dtype: WireDtype) -> Result<usize, WireError> {
@@ -850,6 +878,41 @@ mod tests {
         let f = shape_hash(64, 64, 64, WireDtype::F64);
         let g = shape_hash(64, 64, 64, WireDtype::Gf2);
         assert_ne!(f, g, "dtype must enter shard placement");
+    }
+
+    #[test]
+    fn multiply_payload_lens_count_the_headers() {
+        // Two 128 MiB operands each fit under the cap, but one request
+        // carries both plus its header.
+        let (request, response) = multiply_payload_lens(4096, 4096, 4096, WireDtype::F64).unwrap();
+        assert_eq!(request, MAX_FRAME + MULTIPLY_REQ_HEADER);
+        assert_eq!(response, MAX_FRAME / 2 + MULTIPLY_OK_HEADER);
+        // The lengths are what the encoder emits.
+        let req = Frame::MultiplyReq {
+            id: 1,
+            dtype: WireDtype::F32,
+            m: 3,
+            k: 4,
+            n: 5,
+            a: vec![0; 3 * 4 * 4],
+            b: vec![0; 4 * 5 * 4],
+        };
+        let ok = Frame::MultiplyOk {
+            id: 1,
+            dtype: WireDtype::F32,
+            m: 3,
+            n: 5,
+            c: vec![0; 3 * 5 * 4],
+        };
+        let encoded = (req.encode().len(), ok.encode().len());
+        assert_eq!(
+            multiply_payload_lens(3, 4, 5, WireDtype::F32),
+            Some(encoded)
+        );
+        // Lengths past usize and dtypes without a wire size have none.
+        let overflow = multiply_payload_lens(usize::MAX, 2, 1, WireDtype::F64);
+        assert_eq!(overflow, None);
+        assert_eq!(multiply_payload_lens(1, 1, 1, WireDtype::Gf2), None);
     }
 
     #[test]

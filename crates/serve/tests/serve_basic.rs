@@ -141,23 +141,26 @@ fn oversized_product_is_a_typed_shape_error_and_the_connection_survives() {
         (a, b, frame)
     };
 
-    // 48 KB operands, 288 MB product.
-    let (_, _, huge) = request(1, 6000, 1, 6000);
-    write_frame(&mut stream, &huge).expect("send");
-    match read_frame(&mut stream).expect("response") {
-        Some(Frame::Error {
-            id: 1,
-            code: ErrorCode::Shape,
-            ..
-        }) => {}
-        other => panic!("expected a typed shape error, got {other:?}"),
+    // 48 KB operands, 288 MB product; then a product of exactly
+    // MAX_FRAME bytes, whose response header would push it past.
+    for (id, (m, k, n)) in [(1, (6000, 1, 6000)), (2, (16384, 1, 2048))] {
+        let (_, _, huge) = request(id, m, k, n);
+        write_frame(&mut stream, &huge).expect("send");
+        match read_frame(&mut stream).expect("response") {
+            Some(Frame::Error {
+                id: got,
+                code: ErrorCode::Shape,
+                ..
+            }) if got == id => {}
+            other => panic!("{m}x{k}x{n}: expected a typed shape error, got {other:?}"),
+        }
     }
 
     // The same connection still multiplies.
-    let (a, b, small) = request(2, 16, 8, 16);
+    let (a, b, small) = request(3, 16, 8, 16);
     write_frame(&mut stream, &small).expect("send");
     match read_frame(&mut stream).expect("response") {
-        Some(Frame::MultiplyOk { id: 2, c, .. }) => {
+        Some(Frame::MultiplyOk { id: 3, c, .. }) => {
             let got = decode_matrix::<f64>(16, 16, &c).expect("decode product");
             assert_eq!(got.as_slice(), reference(&a, &b).as_slice());
         }
@@ -166,6 +169,12 @@ fn oversized_product_is_a_typed_shape_error_and_the_connection_survives() {
 
     drop(stream);
     let mut client = ServeClient::connect(shard.socket()).expect("connect");
+    // The client applies the same rule before sending.
+    let (a, b, _) = request(4, 16384, 1, 2048);
+    match client.multiply(&a, &b) {
+        Err(ServeError::TooLarge) => {}
+        other => panic!("expected a client-side size rejection, got {other:?}"),
+    }
     client.drain().expect("drain");
     shard.join().expect("shard exits");
 }

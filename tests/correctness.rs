@@ -59,12 +59,16 @@ fn every_catalog_algorithm_multiplies_correctly() {
 
 #[test]
 fn strategy_matrix_full_cross_product() {
-    // Strassen on a shape that peels at both levels, then every catalog
+    // Strassen on shapes that peel at both levels, then every catalog
     // scheme on a ragged shape of its own. Beyond matching the
     // reference, every plan repeats its bits exactly, and DFS, BFS and
     // HYBRID reproduce Sequential's bits for the same addition method
     // and CSE setting.
-    let mut inputs = vec![(algo::by_name("strassen").unwrap().dec, (101, 67, 89))];
+    let strassen = algo::by_name("strassen").unwrap().dec;
+    let mut inputs: Vec<_> = [(101, 67, 89), (63, 65, 67), (100, 50, 75), (31, 97, 41)]
+        .into_iter()
+        .map(|shape| (strassen.clone(), shape))
+        .collect();
     for alg in algo::catalog() {
         let (m, k, n) = alg.dec.base();
         inputs.push((alg.dec, (m * m * 2 + 3, k * k * 2 + 1, n * n * 2 + 2)));
@@ -87,7 +91,6 @@ fn strategy_matrix_full_cross_product() {
                         additions,
                         cse,
                         scheme,
-                        ..Options::default()
                     };
                     let label = format!("{:?} at {p}x{q}x{r} with {opts:?}", dec.base());
                     let plan = Planner::new()

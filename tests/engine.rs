@@ -6,6 +6,7 @@
 //! These exercise the root-facade re-exports on purpose: everything is
 //! imported from `fast_matmul::{...}` directly.
 
+use fast_matmul::core::PLAN_CACHE_CAPACITY;
 use fast_matmul::gemm::naive_gemm;
 use fast_matmul::matrix::{max_abs_diff, Matrix};
 use fast_matmul::{EngineError, FmmEngine, Workspace};
@@ -173,32 +174,30 @@ fn f32_steady_state_serving_allocates_no_new_arenas() {
 /// re-plan on its next request.
 #[test]
 fn plan_cache_lru_eviction_and_reuse() {
-    let engine = FmmEngine::builder()
-        .threads(1)
-        .cache_capacity(2)
-        .build()
-        .unwrap();
-    let serve = |n: usize, seed: u64| {
-        let (a, b) = random_problem(n, n, n, seed);
-        engine.multiply(&a, &b).unwrap();
-    };
-    serve(32, 1); // miss → {32}
-    serve(32, 2); // hit
-    serve(40, 3); // miss → {32, 40}
-    serve(32, 4); // hit: 32 most recent
-    serve(48, 5); // miss → evicts 40, {32, 48}
+    let engine = FmmEngine::<f64>::builder().threads(1).build().unwrap();
+    let plan = |n: usize| engine.plan_for(n, n, n).unwrap();
+    // Fill the cache, touch the first shape again so the second
+    // becomes least recently used, then plan one shape too many.
+    let shapes: Vec<usize> = (1..=PLAN_CACHE_CAPACITY + 1).collect();
+    for &n in &shapes[..PLAN_CACHE_CAPACITY] {
+        plan(n);
+    }
+    let first = plan(shapes[0]);
+    plan(shapes[PLAN_CACHE_CAPACITY]);
     let s = engine.stats();
-    assert_eq!(s.plan_cache_misses, 3);
-    assert_eq!(s.plan_cache_hits, 2);
+    assert_eq!(s.plan_cache_misses, PLAN_CACHE_CAPACITY as u64 + 1);
+    assert_eq!(s.plan_cache_hits, 1);
     assert_eq!(s.plan_cache_evictions, 1);
-    assert_eq!(s.plans_cached, 2);
+    assert_eq!(s.plans_cached, PLAN_CACHE_CAPACITY);
 
-    serve(32, 6); // survived the eviction → hit
-    assert_eq!(engine.stats().plan_cache_hits, 3);
-    serve(40, 7); // was evicted → miss again
+    // The touched shape survived with the same plan; the evicted one
+    // must re-plan.
+    assert!(Arc::ptr_eq(&first, &plan(shapes[0])));
+    assert_eq!(engine.stats().plan_cache_hits, 2);
+    plan(shapes[1]);
     let s = engine.stats();
-    assert_eq!(s.plan_cache_misses, 4);
-    assert!(s.plan_cache_evictions >= 2);
+    assert_eq!(s.plan_cache_misses, PLAN_CACHE_CAPACITY as u64 + 2);
+    assert_eq!(s.plan_cache_evictions, 2);
 }
 
 #[test]

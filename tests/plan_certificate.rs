@@ -2,10 +2,10 @@
 //! what a plan will do, and these tests pin it against the two ground
 //! truths available at runtime — the executor's gemm-for-gemm
 //! statistics and the planner's workspace sizing — across schemes,
-//! border modes, ragged shapes, and composed schedules.
+//! ragged shapes, and composed schedules.
 
 use fast_matmul::algo;
-use fast_matmul::core::{BorderHandling, Options, Planner, Workspace};
+use fast_matmul::core::{Options, Planner, Workspace};
 use fast_matmul::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -60,15 +60,12 @@ fn check(
 fn certificate_predicts_execution_across_schemes_and_borders() {
     let strassen = algo::strassen();
     for scheme in [Scheme::Sequential, Scheme::Dfs, Scheme::Bfs, Scheme::Hybrid] {
-        for border in [BorderHandling::DynamicPeeling, BorderHandling::Padding] {
-            for shape in [(64, 64, 64), (65, 63, 61), (37, 41, 29)] {
-                let opts = Options {
-                    scheme,
-                    border,
-                    ..Options::default()
-                };
-                check(&strassen, shape, 2, opts);
-            }
+        for shape in [(64, 64, 64), (65, 63, 61), (37, 41, 29)] {
+            let opts = Options {
+                scheme,
+                ..Options::default()
+            };
+            check(&strassen, shape, 2, opts);
         }
     }
 }

@@ -1,13 +1,13 @@
 //! Execution-statistics and border-handling integration tests: the
-//! `R^L` leaf-count law, the §4.2 memory-footprint factor, and the
-//! padding-vs-peeling equivalence (§3.5).
+//! `R^L` leaf-count law, the dynamic-peeling fix-up count (§3.5) and
+//! the §4.2 memory-footprint factor.
 
 mod common;
 
-use common::{multiply, run};
+use common::run;
 use fast_matmul::algo;
-use fast_matmul::core::{BorderHandling, Options, Planner};
-use fast_matmul::matrix::{max_abs_diff, Matrix};
+use fast_matmul::core::Planner;
+use fast_matmul::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -60,51 +60,6 @@ fn memory_footprint_matches_section_4_2_factor() {
         stats.temp_elements >= c_elems * rank / (m as u64 * n as u64),
         "the R/(MN) memory factor of §4.2"
     );
-}
-
-#[test]
-fn padding_and_peeling_agree_everywhere() {
-    let strassen = algo::strassen();
-    let mut rng = StdRng::seed_from_u64(4);
-    for (p, q, r) in [(63, 65, 67), (100, 50, 75), (31, 97, 41)] {
-        let a = Matrix::random(p, q, &mut rng);
-        let b = Matrix::random(q, r, &mut rng);
-        let with = |border| {
-            multiply(
-                &strassen,
-                2,
-                Options {
-                    border,
-                    ..Options::default()
-                },
-                &a,
-                &b,
-            )
-        };
-        let peel = with(BorderHandling::DynamicPeeling);
-        let pad = with(BorderHandling::Padding);
-        let d = max_abs_diff(&peel.as_ref(), &pad.as_ref()).unwrap();
-        assert!(d < 1e-10 * q as f64, "{p}x{q}x{r}: diff {d}");
-    }
-}
-
-#[test]
-fn padding_eliminates_peel_gemms() {
-    let strassen = algo::strassen();
-    let mut rng = StdRng::seed_from_u64(5);
-    let a = Matrix::random(65, 63, &mut rng);
-    let b = Matrix::random(63, 61, &mut rng);
-    let padding = Options {
-        border: BorderHandling::Padding,
-        ..Options::default()
-    };
-    let planner = Planner::new()
-        .algorithm(&strassen)
-        .steps(2)
-        .options(padding);
-    let (_, stats) = run(planner, &a, &b);
-    assert_eq!(stats.peel_gemms, 0, "padded problems never peel");
-    assert_eq!(stats.base_gemms, 49);
 }
 
 #[test]
