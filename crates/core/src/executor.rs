@@ -41,8 +41,9 @@
 //! [`crate::Workspace`] across executes, so a warm execute grows no
 //! buffer, which [`ExecStatsSnapshot::workspace_reused`] reports. Small
 //! bookkeeping still allocates on every execute: each node's term lists
-//! for the addition kernels and its split of `C` into blocks, and the
-//! base gemm's pack buffers. Under the BFS/HYBRID schemes each spawned
+//! for the addition kernels and its split of `C` into blocks. The base
+//! gemm packs into per-thread buffers that only grow, so a warm leaf
+//! allocates nothing. Under the BFS/HYBRID schemes each spawned
 //! task receives a disjoint slice of the workspace, which makes the
 //! §4.2 memory growth factor explicit in [`crate::Plan::workspace_len`].
 

@@ -14,15 +14,26 @@
 //! leaves), exactly as the paper's generated code calls `dgemm` with one
 //! or all threads.
 //!
-//! # Element types
+//! # Element types and register tiles
 //!
 //! The blocking/packing pipeline is generic over
-//! [`fmm_matrix::Scalar`]; what is *specialized per type* is the
-//! register microkernel tile, selected by the [`GemmScalar`] impl:
-//! `f64` keeps the original `4 × 8` tile, `f32` uses `4 × 16` — the
-//! same number of vector registers, twice the elements per register —
-//! which is where the dtype's 2× SIMD/bandwidth advantage materializes.
+//! [`fmm_matrix::Scalar`]; what is *specialized per type and per CPU*
+//! is the register tile, selected by the [`GemmScalar`] impl on every
+//! call:
+//!
+//! - `f64` on an x86-64 CPU with AVX-512F runs an `8 × 16` tile written
+//!   with `std::arch` intrinsics (16 zmm accumulators, one fused
+//!   multiply-add per element and step);
+//! - `f64` on any other CPU or target runs the portable `4 × 8` tile;
+//! - `f32` runs the portable `4 × 16` tile — the same accumulator count
+//!   as the `f64` one, twice the elements.
+//!
+//! Each thread packs into its own grow-only buffers, at most 4.25 MiB
+//! per thread for `f64`, so a warm [`gemm`] or [`par_gemm`] call
+//! allocates nothing.
 
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 mod naive;
 mod packed;
 mod parallel;
@@ -66,7 +77,7 @@ impl GemmScalar for f64 {
         beta: Self,
         c: MatMut<'_, Self>,
     ) {
-        packed::gemm_tiles::<f64, { packed::MR }, { packed::NR }>(alpha, a, b, beta, c);
+        packed::gemm_f64(alpha, a, b, beta, c);
     }
 }
 
@@ -78,8 +89,7 @@ impl GemmScalar for f32 {
         beta: Self,
         c: MatMut<'_, Self>,
     ) {
-        // Same register budget as the f64 tile, twice the lanes.
-        packed::gemm_tiles::<f32, 4, 16>(alpha, a, b, beta, c);
+        packed::gemm_f32(alpha, a, b, beta, c);
     }
 }
 

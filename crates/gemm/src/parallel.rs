@@ -149,19 +149,23 @@ mod tests {
         // The k-loop is never split, so every output element sees the
         // same floating-point evaluation order regardless of pool
         // width — results must be bitwise identical across widths.
+        // 161 × 83 × 203 splits into pieces with partial tiles at every
+        // width; 2 × 300 × 3000 splits into direct-path column strips.
         let mut rng = StdRng::seed_from_u64(30);
-        let a = Matrix::random(160, 80, &mut rng);
-        let b = Matrix::random(80, 200, &mut rng);
-        let mut reference = Matrix::zeros(160, 200);
-        par_gemm(1.0, a.as_ref(), b.as_ref(), 0.0, reference.as_mut());
-        for threads in [1, 2, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let mut c = Matrix::zeros(160, 200);
-            pool.install(|| par_gemm(1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut()));
-            assert_eq!(c, reference, "width {threads} changed the result");
+        for (m, k, n) in [(160, 80, 200), (161, 83, 203), (2, 300, 3000)] {
+            let a = Matrix::random(m, k, &mut rng);
+            let b = Matrix::random(k, n, &mut rng);
+            let mut reference = Matrix::zeros(m, n);
+            par_gemm(1.0, a.as_ref(), b.as_ref(), 0.0, reference.as_mut());
+            for threads in [1, 2, 8] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let mut c = Matrix::zeros(m, n);
+                pool.install(|| par_gemm(1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut()));
+                assert_eq!(c, reference, "width {threads} changed {m}x{k}x{n}");
+            }
         }
     }
 

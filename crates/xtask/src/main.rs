@@ -90,7 +90,15 @@ const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/runtime/src/job.rs",
     "crates/runtime/src/registry.rs",
     "crates/matrix/src/view.rs",
+    "crates/gemm/src/avx512.rs",
+    "crates/gemm/tests/no_alloc.rs",
 ];
+
+/// The only `crates/gemm` files allowed in [`UNSAFE_ALLOWLIST`]: the
+/// AVX-512 register tile (`std::arch` intrinsics behind a CPU-feature
+/// token) and the allocation test, whose counting `#[global_allocator]`
+/// must implement the `GlobalAlloc` trait.
+const GEMM_KW_FILES: &[&str] = &["crates/gemm/src/avx512.rs", "crates/gemm/tests/no_alloc.rs"];
 
 /// Items the vendored `rayon` facade must re-export from
 /// `fmm_runtime` — the exact rayon-1.x-compatible surface the
@@ -146,6 +154,12 @@ fn lint() -> Result<String, Vec<String>> {
     let _ = writeln!(
         summary,
         "gf2 backend: {n_gf2} crates/gf2 sources scanned, none allowlisted"
+    );
+
+    let n_gemm = lint_gemm_kw_stays_in_its_tile(&sources, &mut failures);
+    let _ = writeln!(
+        summary,
+        "gemm: {n_gemm} crates/gemm sources scanned, only the AVX-512 tile and the allocation test allowlisted"
     );
 
     let n_hot = lint_no_raw_clocks_in_hot_paths(&root, &sources, &mut failures);
@@ -345,6 +359,36 @@ fn lint_gf2_stays_safe(sources: &[PathBuf], failures: &mut Vec<String>) -> usize
         );
     }
     n_gf2
+}
+
+/// The gemm crate (`crates/gemm`) keeps its `unsafe` code to the files
+/// of [`GEMM_KW_FILES`]: every other gemm source must stay out of the
+/// allowlist, so SIMD work for a new tile or element type cannot spread
+/// it through the packing and blocking code, and the gemm sources must
+/// be present in the scan. Returns the number of gemm sources seen.
+fn lint_gemm_kw_stays_in_its_tile(sources: &[PathBuf], failures: &mut Vec<String>) -> usize {
+    for entry in UNSAFE_ALLOWLIST
+        .iter()
+        .filter(|a| Path::new(a).starts_with("crates/gemm") && !GEMM_KW_FILES.contains(a))
+    {
+        failures.push(format!(
+            "{entry}: crates/gemm keeps {} code to {}; remove the entry",
+            ["un", "safe"].concat(),
+            GEMM_KW_FILES.join(" and "),
+        ));
+    }
+    let n_gemm = sources
+        .iter()
+        .filter(|p| p.starts_with("crates/gemm"))
+        .count();
+    if n_gemm == 0 {
+        failures.push(
+            "crates/gemm: no sources found in the scan — the pin on the gemm \
+             crate's allowlisted files is not being enforced"
+                .to_string(),
+        );
+    }
+    n_gemm
 }
 
 /// The executor and gemm hot paths must take timestamps only through
