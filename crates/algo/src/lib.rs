@@ -291,9 +291,9 @@ pub fn by_name(name: &str) -> Option<FastAlgorithm> {
 /// should mirror the problem's aspect ratio (an outer-product-shaped
 /// problem wants ⟨4,2,4⟩, not Strassen), so the ranking combines the
 /// log-space distance between the base-case and problem aspect ratios
-/// with the per-step multiplication speedup. Feed the result (mapped to
-/// decompositions) to `fmm_core::Planner::auto_algorithm`, which then
-/// applies the §3.4 depth rule per candidate.
+/// with the per-step multiplication speedup. `fmm_core::Planner::plan`
+/// reads this order when no algorithm is given: it takes the entry with
+/// the highest per-step speedup, and the aspect-ratio order breaks ties.
 pub fn candidates_for_shape(p: usize, q: usize, r: usize) -> Vec<FastAlgorithm> {
     let aspect = |x: usize, y: usize| (x.max(1) as f64 / y.max(1) as f64).ln();
     let mut entries = catalog();

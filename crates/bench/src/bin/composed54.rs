@@ -39,8 +39,8 @@ fn main() {
         ));
         // The full three-level schedule behind the engine front door:
         // the warm-up call plans the shape and sizes a pooled
-        // workspace, so the timed region is cache-hit, allocation-free
-        // serving.
+        // workspace, so the timed region is cache-hit serving on a
+        // pooled arena.
         let (a, b) = workload(n, n, n, 42);
         let mut c = Matrix::zeros(n, n);
         engine.multiply_into(&a, &b, &mut c).expect("warm-up");

@@ -1,6 +1,7 @@
-//! §3.4 ablation: recursion-cutoff behaviour. Sweeps recursion depth at
-//! several problem sizes; the best depth moves with the size exactly as
-//! the "only recurse on the flat part of the gemm curve" rule predicts.
+//! §3.4 evidence: a measured depth sweep. Times sequential Strassen at
+//! depths 0–4 over several square sizes, so the depth that wins at each
+//! size is read off the measurements (the "only recurse on the flat
+//! part of the gemm curve" lesson), not predicted by a model.
 
 use fmm_bench::*;
 use fmm_core::Options;

@@ -32,7 +32,8 @@ fn row(experiment: &str, algorithm: &str, n: usize, steps: usize, secs: f64) -> 
 }
 
 /// Best (seconds, depth) over explicit recursion depths 1 and 2. The
-/// timed region is the allocation-free `execute_into` hot path.
+/// timed region is the warm `execute_into` hot path, on a workspace
+/// that never grows.
 fn best_strassen(a: &Gf2Matrix, b: &Gf2Matrix, n: usize, trials: usize) -> (f64, usize) {
     let mut best = (f64::INFINITY, 0usize);
     for steps in [1usize, 2] {

@@ -263,8 +263,8 @@ pub fn measure_classical(
 ///
 /// Planning (and the workspace allocation it sizes) happens once per
 /// depth candidate, outside the timed region — the timed loop is the
-/// allocation-free [`fmm_core::Plan::execute`] hot path, which is what
-/// a production caller would run.
+/// warm [`fmm_core::Plan::execute`] hot path (its workspace never
+/// grows), which is what a production caller would run.
 #[allow(clippy::too_many_arguments)]
 pub fn measure_fast_in<T: GemmScalar>(
     experiment: &str,

@@ -2,8 +2,7 @@
 //!
 //! The paper's framework pays off when setup cost is amortized across
 //! many multiplies. [`crate::Planner`]/[`crate::Plan`] amortize per
-//! *plan*, but every caller still hand-manages plans and workspaces,
-//! and [`crate::Plan::execute_batch`] only covers same-shape batches.
+//! *plan*, but every caller still hand-manages plans and workspaces.
 //! The engine is the serve-many front door on top of them — the
 //! FFTW-wisdom / runtime-dispatch shape that turns a planning library
 //! into a service:
@@ -12,21 +11,20 @@
 //!   submitted — runs at a fixed, configured width regardless of which
 //!   client thread asked;
 //! * a bounded **LRU plan cache** ([`PLAN_CACHE_CAPACITY`] shapes)
-//!   keyed by shape auto-plans through
-//!   [`fmm_algo::candidates_for_shape`] on a miss, so the first request
-//!   for a shape pays for planning and every later one reuses the
-//!   resolved [`Plan`];
+//!   keyed by shape plans a miss with the engine's one [`Planner`]
+//!   (the builder's settings, no shape) given that shape, so the first
+//!   request for a shape pays for planning and every later one reuses
+//!   the resolved [`Plan`];
 //! * a **workspace pool** checks [`Workspace`] arenas in and out around
-//!   each execution, so steady-state serving performs no arena
-//!   allocation (asserted by [`EngineStats::workspaces_reused`]);
+//!   each execution, so steady-state serving creates no new arena
+//!   (asserted by [`EngineStats::workspaces_reused`]);
 //! * [`FmmEngine::submit`] is the asynchronous path: operands move into
 //!   a detached pool job and a [`MultiplyHandle`] joins it later —
 //!   with work-stealing help from the caller when the caller is itself
 //!   a pool worker ([`fmm_runtime::JobHandle`]);
 //! * [`FmmEngine::submit_batch`] fans a mixed-shape stream out, one
 //!   handle per product — each shape planned (or cache-hit)
-//!   independently, unlike the same-shape-only
-//!   [`crate::Plan::execute_batch`].
+//!   independently.
 //!
 //! The engine is cheap to clone (`Arc` inside) and `Send + Sync`:
 //! share one per process and hit it from as many client threads as you
@@ -93,28 +91,16 @@ impl From<PlanError> for EngineError {
     }
 }
 
-/// Where the engine's plans get their decomposition from.
-enum AlgSource {
-    /// Rank the exact catalog per shape ([`fmm_algo::candidates_for_shape`])
-    /// and let the planner pick.
-    Catalog,
-    /// One fixed decomposition for every shape.
-    Fixed(Decomposition),
-    /// A fixed composed schedule (one decomposition per level) for
-    /// every shape; the schedule length is the depth.
-    Schedule(Vec<Decomposition>),
-}
-
 /// Plans an engine keeps cached; beyond this the least recently used
 /// plan is evicted.
 pub const PLAN_CACHE_CAPACITY: usize = 64;
 
 /// Builder for [`FmmEngine`]. All settings optional; the defaults give
-/// a hardware-width pool (honoring `FMM_THREADS`), catalog
-/// auto-planning at the depth the §3.4 rule chooses without a profile
-/// (one fast step when the candidate saves multiplies), and the HYBRID
-/// scheme when the pool has more than one worker. The plan cache holds
-/// [`PLAN_CACHE_CAPACITY`] shapes and the workspace pool
+/// a hardware-width pool (honoring `FMM_THREADS`), [`Planner`]'s
+/// defaults for the algorithm and depth (the catalog entry with the
+/// highest per-step speedup for each shape, one fast step), and the
+/// HYBRID scheme when the pool has more than one worker. The plan cache
+/// holds [`PLAN_CACHE_CAPACITY`] shapes and the workspace pool
 /// `2 × width + 2` arenas.
 ///
 /// The element-type parameter (default `f64`) fixes the dtype every
@@ -123,8 +109,7 @@ pub const PLAN_CACHE_CAPACITY: usize = 64;
 pub struct EngineBuilder<T = f64> {
     threads: Option<usize>,
     options: Option<Options>,
-    steps: Option<usize>,
-    alg: AlgSource,
+    planner: Planner,
     _dtype: std::marker::PhantomData<T>,
 }
 
@@ -141,8 +126,7 @@ impl<T: GemmScalar> EngineBuilder<T> {
         EngineBuilder {
             threads: None,
             options: None,
-            steps: None,
-            alg: AlgSource::Catalog,
+            planner: Planner::new(),
             _dtype: std::marker::PhantomData,
         }
     }
@@ -155,37 +139,35 @@ impl<T: GemmScalar> EngineBuilder<T> {
         self
     }
 
-    /// Executor strategy (additions, CSE, scheme). Set depth via
-    /// [`EngineBuilder::steps`] or let the §3.4 rule decide. Default:
-    /// write-once additions, Sequential scheme at width 1 and HYBRID
-    /// otherwise.
+    /// Executor strategy (additions, CSE, scheme). Default: write-once
+    /// additions, Sequential scheme at width 1 and HYBRID otherwise.
     #[must_use]
     pub fn options(mut self, options: Options) -> Self {
         self.options = Some(options);
         self
     }
 
-    /// Pin the recursion depth for every plan, overriding the §3.4
-    /// rule.
+    /// Pin the recursion depth for every plan ([`Planner::steps`]).
     #[must_use]
     pub fn steps(mut self, steps: usize) -> Self {
-        self.steps = Some(steps);
+        self.planner = self.planner.steps(steps);
         self
     }
 
     /// Use one fixed decomposition for every shape instead of the
-    /// catalog.
+    /// catalog ([`Planner::algorithm`]).
     #[must_use]
     pub fn algorithm(mut self, dec: &Decomposition) -> Self {
-        self.alg = AlgSource::Fixed(dec.clone());
+        self.planner = self.planner.algorithm(dec);
         self
     }
 
     /// Use a fixed composed schedule (§5.2) for every shape; its length
-    /// is the recursion depth.
+    /// is the recursion depth ([`Planner::schedule`]).
     #[must_use]
     pub fn schedule(mut self, schedule: &[Decomposition]) -> Self {
-        self.alg = AlgSource::Schedule(schedule.to_vec());
+        let levels: Vec<&Decomposition> = schedule.iter().collect();
+        self.planner = self.planner.schedule(&levels);
         self
     }
 
@@ -199,7 +181,7 @@ impl<T: GemmScalar> EngineBuilder<T> {
             .num_threads(width)
             .build()
             .map_err(|e| EngineError::Pool(e.to_string()))?;
-        let base_opts = self.options.unwrap_or(Options {
+        let options = self.options.unwrap_or(Options {
             scheme: if width == 1 {
                 Scheme::Sequential
             } else {
@@ -211,9 +193,7 @@ impl<T: GemmScalar> EngineBuilder<T> {
             inner: Arc::new(EngineInner {
                 pool,
                 width,
-                base_opts,
-                steps: self.steps,
-                alg: self.alg,
+                planner: self.planner.options(options),
                 cache: Mutex::new(PlanCache::new(PLAN_CACHE_CAPACITY)),
                 workspaces: Mutex::new(Vec::new()),
                 counters: Counters::default(),
@@ -224,7 +204,7 @@ impl<T: GemmScalar> EngineBuilder<T> {
 }
 
 /// Key of one cached plan: the problem shape. Everything else a plan
-/// depends on (options, pool width, requested depth) is fixed per
+/// depends on (the planner's settings, pool width) is fixed per
 /// engine, so it needs no slot.
 type PlanKey = (usize, usize, usize);
 
@@ -356,9 +336,8 @@ impl EngineStats {
 struct EngineInner<T> {
     pool: ThreadPool,
     width: usize,
-    base_opts: Options,
-    steps: Option<usize>,
-    alg: AlgSource,
+    /// Every setting of the engine's plans except the shape.
+    planner: Planner,
     cache: Mutex<PlanCache<T>>,
     workspaces: Mutex<Vec<Workspace<T>>>,
     counters: Counters,
@@ -380,7 +359,7 @@ impl<T: GemmScalar> EngineInner<T> {
         self.counters
             .plan_cache_misses
             .fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(self.build_plan(m, k, n)?);
+        let plan = Arc::new(self.planner.clone().shape(m, k, n).plan::<T>()?);
         let evicted = self.cache.lock().unwrap().insert(key, Arc::clone(&plan));
         if evicted > 0 {
             self.counters
@@ -388,30 +367,6 @@ impl<T: GemmScalar> EngineInner<T> {
                 .fetch_add(evicted, Ordering::Relaxed);
         }
         Ok(plan)
-    }
-
-    fn build_plan(&self, m: usize, k: usize, n: usize) -> Result<Plan<T>, EngineError> {
-        let mut planner = Planner::new().shape(m, k, n).options(self.base_opts);
-        let catalog_decs: Vec<Decomposition>;
-        let schedule_refs: Vec<&Decomposition>;
-        match &self.alg {
-            AlgSource::Fixed(dec) => planner = planner.algorithm(dec),
-            AlgSource::Schedule(schedule) => {
-                schedule_refs = schedule.iter().collect();
-                planner = planner.schedule(&schedule_refs);
-            }
-            AlgSource::Catalog => {
-                catalog_decs = fmm_algo::candidates_for_shape(m, k, n)
-                    .into_iter()
-                    .map(|a| a.dec)
-                    .collect();
-                planner = planner.auto_algorithm(&catalog_decs);
-            }
-        }
-        if let Some(steps) = self.steps {
-            planner = planner.steps(steps);
-        }
-        Ok(planner.plan::<T>()?)
     }
 
     fn checkout_workspace(&self) -> Workspace<T> {
@@ -545,8 +500,8 @@ impl<T: GemmScalar> FmmEngine<T> {
         EngineBuilder::new()
     }
 
-    /// An engine with all defaults (hardware-width pool, catalog
-    /// auto-planning).
+    /// An engine with all defaults (hardware-width pool, the
+    /// planner's catalog default).
     pub fn new() -> Result<FmmEngine<T>, EngineError> {
         EngineBuilder::new().build()
     }
@@ -568,7 +523,9 @@ impl<T: GemmScalar> FmmEngine<T> {
     }
 
     /// `C = A · B` into a caller-provided output: with the plan cached
-    /// and the workspace pool warm, this path allocates nothing.
+    /// and the workspace pool warm, this path creates no new arena
+    /// (the execute's per-node bookkeeping and the latency-histogram
+    /// label still allocate).
     pub fn multiply_into(
         &self,
         a: &DenseMatrix<T>,
@@ -604,8 +561,7 @@ impl<T: GemmScalar> FmmEngine<T> {
 
     /// Submit a mixed-shape stream: one detached job and one handle per
     /// `(Aᵢ, Bᵢ)` product. Each shape is planned (or served from the
-    /// cache) independently, so unlike
-    /// [`crate::Plan::execute_batch`] the batch need not be uniform.
+    /// cache) independently, so the batch need not be uniform.
     pub fn submit_batch(
         &self,
         batch: impl IntoIterator<Item = (DenseMatrix<T>, DenseMatrix<T>)>,

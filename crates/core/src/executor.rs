@@ -103,8 +103,9 @@ impl Scheme {
 /// Executor configuration.
 ///
 /// The recursion depth is not an option: [`crate::Planner::steps`],
-/// the §3.4 rule or the schedule length sets it. Non-divisible
-/// dimensions are always handled by dynamic peeling (§3.5).
+/// the planner's one-step default or the schedule length sets it.
+/// Non-divisible dimensions are always handled by dynamic peeling
+/// (§3.5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Options {
     /// Addition-chain evaluation strategy.
@@ -146,7 +147,7 @@ pub struct ExecStatsSnapshot {
     /// Size in bytes of the workspace this execution ran in.
     pub workspace_bytes: u64,
     /// True when the execution reused an existing workspace buffer
-    /// without growing it — i.e. the run performed no temp allocation.
+    /// without growing it — i.e. the run allocated no workspace.
     pub workspace_reused: bool,
     /// Number of distinct threads that executed at least one gemm of
     /// this run — direct evidence of how many workers participated.

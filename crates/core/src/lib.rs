@@ -28,17 +28,16 @@
 //! off when resolved per machine and problem shape, so the primary API
 //! separates the two phases FFTW-style:
 //!
-//! * [`Planner`] resolves the configuration — applying the §3.4 cutoff
-//!   rule through a measured [`GemmProfile`], optionally auto-selecting
-//!   the decomposition from a catalog — into an immutable [`Plan`]
+//! * [`Planner`] resolves the configuration into an immutable [`Plan`]
 //!   whose exact temporary footprint is computed by walking the
-//!   recursion tree once.
+//!   recursion tree once. [`Planner::plan`] is the one function that
+//!   turns a shape into a schedule: without an algorithm it takes the
+//!   catalog entry with the highest per-step speedup, and without a
+//!   depth it takes one fast step.
 //! * [`Plan::execute`] runs against a reusable [`Workspace`]: after
 //!   the first call every S/T/M temporary is checked out of the same
-//!   arena, so the hot path performs **zero heap allocation**
-//!   (asserted by [`ExecStatsSnapshot::workspace_reused`]).
-//! * [`Plan::execute_batch`] fans a batch of independent same-shape
-//!   products out across rayon tasks, one workspace each.
+//!   arena, which never grows again (asserted by
+//!   [`ExecStatsSnapshot::workspace_reused`]).
 //!
 //! ```
 //! use fmm_core::{Planner, Workspace};
@@ -49,9 +48,8 @@
 //! let plan = Planner::new()
 //!     .shape(100, 100, 100)
 //!     .algorithm(&dec)
-//!     // With a fast algorithm, .profile(GemmProfile::measure(..))
-//!     // lets the §3.4 rule pick the depth for this machine; the
-//!     // classical decomposition has zero speedup, so pin it here.
+//!     // The classical decomposition saves no multiplies, so the
+//!     // default rule would plan depth 0; pin two steps here.
 //!     .steps(2)
 //!     .plan()
 //!     .unwrap();
@@ -62,7 +60,7 @@
 //! let b = Matrix::random(100, 100, &mut rng);
 //! let mut c = Matrix::zeros(100, 100);
 //! for _ in 0..3 {
-//!     plan.execute(&a, &b, &mut c, &mut ws); // allocation-free after call 1
+//!     plan.execute(&a, &b, &mut c, &mut ws); // the workspace never grows again
 //! }
 //! ```
 //!
@@ -70,10 +68,10 @@
 //!
 //! On top of plan/execute sits [`FmmEngine`] ([`engine`]), the
 //! concurrent multiply *service*: a long-lived object owning an
-//! `fmm-runtime` thread pool, a bounded LRU plan cache (auto-planning
-//! via `fmm_algo::candidates_for_shape` on a miss) and a workspace pool
-//! that checks arenas in and out, so steady-state serving allocates
-//! nothing. [`FmmEngine::multiply`] is the synchronous call,
+//! `fmm-runtime` thread pool, a bounded LRU plan cache that plans a
+//! missed shape through its one [`Planner`], and a workspace pool that
+//! checks arenas in and out, so steady-state serving creates no new
+//! arena. [`FmmEngine::multiply`] is the synchronous call,
 //! [`FmmEngine::submit`] hands back a [`MultiplyHandle`] that joins a
 //! detached pool job (with work-stealing help when the waiter is a pool
 //! thread), and [`FmmEngine::submit_batch`] fans out mixed-shape
@@ -98,14 +96,10 @@
 //! injection is fallible by design
 //! ([`PlanError::UnrepresentableCoefficient`]): GF(2) rejects
 //! fractional APA coefficients there instead of computing nonsense.
-//! [`GemmProfile`] is measured on the f64 gemm; its §3.4 depth
-//! recommendation is reused for every dtype (the performance *shape* —
-//! ramp-up then plateau — is what the rule needs, and it transfers).
 
 mod accuracy;
 mod certificate;
 pub mod codegen;
-pub mod cutoff;
 pub mod engine;
 mod executor;
 pub mod plan;
@@ -117,7 +111,6 @@ pub use accuracy::{
 };
 pub use certificate::PlanCertificate;
 pub use codegen::generate_rust;
-pub use cutoff::GemmProfile;
 pub use engine::{
     shape_class, EngineBuilder, EngineError, EngineStats, FmmEngine, MultiplyHandle,
     PLAN_CACHE_CAPACITY,
@@ -128,8 +121,8 @@ pub use plan::{cse_stats, CseStats};
 pub use planner::{Plan, PlanError, Planner};
 pub use workspace::Workspace;
 
-/// Strassen fixture shared by in-crate tests (codegen, planner,
-/// cutoff and executor tests all reuse this single U/V/W literal).
+/// Strassen fixture shared by in-crate tests (planner, engine and
+/// executor tests all reuse this single U/V/W literal).
 #[cfg(test)]
 pub(crate) fn codegen_fixture() -> fmm_tensor::Decomposition {
     let u = fmm_matrix::Matrix::from_rows(&[

@@ -4,24 +4,17 @@
 //! algorithm only pays when the recursion depth, parallel scheme and
 //! addition strategy are chosen *for the machine and the problem
 //! shape*. [`Planner`] is where those choices are made — once, up
-//! front, optionally driven by a measured [`GemmProfile`] and a catalog
-//! of candidate decompositions — and [`Plan`] is the immutable result:
-//! per-level addition plans plus the exact temporary footprint of the
-//! whole recursion tree, computed by walking it once at plan time.
-//! Executing a plan against a reusable [`Workspace`] then allocates
-//! nothing (the FFTW plan/execute and BLIS preallocated-packing-buffer
-//! discipline), which is what makes the batched front door
-//! [`Plan::execute_batch`] cheap enough to serve many small multiplies.
+//! front, and in one function, [`Planner::plan`] — and [`Plan`] is the
+//! immutable result: per-level addition plans plus the exact temporary
+//! footprint of the whole recursion tree, computed by walking it once
+//! at plan time. Executing a plan against a reusable [`Workspace`]
+//! never grows the workspace after the first call (the FFTW
+//! plan/execute and BLIS preallocated-packing-buffer discipline).
 
 use crate::certificate::{derive_certificate, PlanCertificate};
-use crate::cutoff::GemmProfile;
 use crate::executor::{
-    execute_on, required_workspace, AdditionMethod, ExecStats, ExecStatsSnapshot, LevelPlan,
-    Options, Scheme,
+    execute_on, required_workspace, ExecStats, ExecStatsSnapshot, LevelPlan, Options,
 };
-
-/// Cap on the profile-recommended recursion depth.
-const MAX_STEPS: usize = 4;
 use crate::workspace::Workspace;
 use fmm_gemm::GemmScalar;
 use fmm_matrix::DenseMatrix;
@@ -33,10 +26,6 @@ pub enum PlanError {
     /// No problem shape was given ([`Planner::shape`] is mandatory —
     /// the workspace footprint depends on it).
     MissingShape,
-    /// No algorithm, schedule, or auto-selection catalog was given.
-    MissingAlgorithm,
-    /// [`Planner::auto_algorithm`] received an empty candidate list.
-    EmptyCatalog,
     /// An explicit [`Planner::steps`] conflicts with the schedule
     /// length, which is authoritative for schedules.
     StepsConflict {
@@ -69,11 +58,6 @@ impl std::fmt::Display for PlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PlanError::MissingShape => write!(f, "Planner::shape(m, k, n) was not called"),
-            PlanError::MissingAlgorithm => write!(
-                f,
-                "no algorithm given: call algorithm(), schedule() or auto_algorithm()"
-            ),
-            PlanError::EmptyCatalog => write!(f, "auto_algorithm received an empty candidate list"),
             PlanError::StepsConflict {
                 schedule_len,
                 steps,
@@ -99,23 +83,27 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
+#[derive(Clone, Default)]
 enum AlgChoice {
-    None,
+    /// The catalog default for the shape (see [`Planner::plan`]).
+    #[default]
+    Catalog,
     /// One decomposition applied uniformly for the chosen depth.
     Single(Decomposition),
     /// One decomposition per recursion level; the length is the depth.
     Schedule(Vec<Decomposition>),
-    /// Pick the best of these candidates for the shape and profile.
-    Auto(Vec<Decomposition>),
 }
 
-/// Builder that turns machine and problem knowledge into a [`Plan`].
+/// Builder that turns an algorithm choice and a problem shape into a
+/// [`Plan`].
 ///
-/// With a real fast algorithm (e.g. `fmm_algo::strassen()`), pass a
-/// measured [`GemmProfile`] via [`Planner::profile`] and let the §3.4
-/// rule pick the depth; here an explicit depth keeps the example
-/// self-contained (the classical decomposition has zero speedup, so
-/// the rule would — correctly — plan depth 0 for it):
+/// Only [`Planner::shape`] is mandatory. Without [`Planner::algorithm`]
+/// or [`Planner::schedule`] the planner picks a catalog entry for the
+/// shape, and without [`Planner::steps`] it takes one fast step when
+/// the decomposition saves multiplies and none otherwise — both rules
+/// live in [`Planner::plan`]. Here an explicit depth keeps the example
+/// self-contained (the classical decomposition saves nothing, so the
+/// default rule would plan depth 0 for it):
 ///
 /// ```
 /// use fmm_core::{Planner, Workspace};
@@ -125,7 +113,7 @@ enum AlgChoice {
 /// let plan = Planner::new()
 ///     .shape(128, 128, 128)
 ///     .algorithm(&dec)
-///     .steps(2) // or .profile(GemmProfile::measure(..)) to auto-pick
+///     .steps(2)
 ///     .plan()
 ///     .unwrap();
 /// assert_eq!(plan.depth(), 2);
@@ -136,36 +124,21 @@ enum AlgChoice {
 /// let mut c = Matrix::zeros(128, 128);
 /// plan.execute(&a, &b, &mut c, &mut ws); // plan once, execute many
 /// ```
+#[derive(Clone, Default)]
 pub struct Planner {
     shape: Option<(usize, usize, usize)>,
     alg: AlgChoice,
     steps: Option<usize>,
-    profile: Option<GemmProfile>,
-    additions: AdditionMethod,
-    cse: bool,
-    scheme: Scheme,
-}
-
-impl Default for Planner {
-    fn default() -> Self {
-        Planner::new()
-    }
+    opts: Options,
 }
 
 impl Planner {
-    /// A planner with the executor defaults (write-once additions,
-    /// sequential scheme, no CSE).
+    /// A planner with the catalog default, the one-step depth rule and
+    /// the executor defaults ([`Options::default`]: write-once
+    /// additions, no CSE, Sequential scheme).
     #[must_use]
     pub fn new() -> Self {
-        Planner {
-            shape: None,
-            alg: AlgChoice::None,
-            steps: None,
-            profile: None,
-            additions: AdditionMethod::WriteOnce,
-            cse: false,
-            scheme: Scheme::Sequential,
-        }
+        Planner::default()
     }
 
     /// Problem shape `C(m×n) = A(m×k) · B(k×n)`. Mandatory: the plan's
@@ -176,10 +149,9 @@ impl Planner {
         self
     }
 
-    /// Use one decomposition uniformly. Depth comes from
-    /// [`Planner::steps`] when set, otherwise from
-    /// [`GemmProfile::recommended_steps`] when a profile is present,
-    /// otherwise 1.
+    /// Use one decomposition uniformly instead of the catalog default.
+    /// Depth comes from [`Planner::steps`] when set, otherwise one step
+    /// when `dec` saves multiplies and none otherwise.
     #[must_use]
     pub fn algorithm(mut self, dec: &Decomposition) -> Self {
         self.alg = AlgChoice::Single(dec.clone());
@@ -194,80 +166,33 @@ impl Planner {
         self
     }
 
-    /// Pick the best candidate for this shape: for each candidate the
-    /// planner computes the recursion depth the §3.4 cutoff rule
-    /// approves (via the profile when present) and scores it by its
-    /// compounded per-step multiplication speedup
-    /// `(1 + speedup)^steps`. A flat profile therefore sends Strassen
-    /// to full depth while the classical algorithm (zero speedup) plans
-    /// depth 0. Use `fmm_algo::candidates_for_shape` to get a
-    /// shape-ranked candidate list from the catalog.
-    #[must_use]
-    pub fn auto_algorithm(mut self, candidates: &[Decomposition]) -> Self {
-        self.alg = AlgChoice::Auto(candidates.to_vec());
-        self
-    }
-
-    /// Replay a measured (or saved — see [`GemmProfile::from_json`])
-    /// machine profile; drives the §3.4 depth rule and auto-selection.
-    #[must_use]
-    pub fn profile(mut self, profile: GemmProfile) -> Self {
-        self.profile = Some(profile);
-        self
-    }
-
-    /// Explicit recursion depth, overriding the profile-recommended
-    /// depth. With [`Planner::schedule`] it must be 0 or equal to the
-    /// schedule length.
+    /// Explicit recursion depth, overriding the one-step default. With
+    /// [`Planner::schedule`] it must be 0 or equal to the schedule
+    /// length.
     #[must_use]
     pub fn steps(mut self, steps: usize) -> Self {
         self.steps = Some(steps);
         self
     }
 
-    /// Addition-chain evaluation strategy (§3.2).
-    #[must_use]
-    pub fn additions(mut self, additions: AdditionMethod) -> Self {
-        self.additions = additions;
-        self
-    }
-
-    /// Greedy length-2 common subexpression elimination (§3.3).
-    #[must_use]
-    pub fn cse(mut self, cse: bool) -> Self {
-        self.cse = cse;
-        self
-    }
-
-    /// Parallel scheme (§4). BFS/HYBRID plans reserve disjoint
+    /// Executor strategy: addition method (§3.2), CSE (§3.3) and
+    /// parallel scheme (§4). BFS/HYBRID plans reserve disjoint
     /// workspace for every concurrent task, making the §4.2 memory
     /// factor visible in [`Plan::workspace_len`].
     #[must_use]
-    pub fn scheme(mut self, scheme: Scheme) -> Self {
-        self.scheme = scheme;
-        self
-    }
-
-    /// Absorb an executor [`Options`] (additions, cse, scheme).
-    #[must_use]
     pub fn options(mut self, opts: Options) -> Self {
-        self.additions = opts.additions;
-        self.cse = opts.cse;
-        self.scheme = opts.scheme;
+        self.opts = opts;
         self
-    }
-
-    /// Depth the cutoff rule recommends for `dec` on this problem: the
-    /// binding dimension is the smallest one.
-    fn recommended_depth(&self, dec: &Decomposition, shape: (usize, usize, usize)) -> usize {
-        let eff = shape.0.min(shape.1).min(shape.2);
-        match &self.profile {
-            Some(profile) => profile.recommended_steps(dec, eff, MAX_STEPS),
-            None => usize::from(dec.speedup_per_step() > 0.0),
-        }
     }
 
     /// Resolve the configuration into an immutable [`Plan`].
+    ///
+    /// This is the one place a shape becomes a schedule. Without an
+    /// algorithm the planner takes the first entry with the highest
+    /// per-step speedup in `fmm_algo::candidates_for_shape` order, so
+    /// the ranking's aspect-ratio order only breaks ties. The depth is
+    /// [`Planner::steps`] when set, otherwise one step when the chosen
+    /// decomposition saves multiplies and none otherwise.
     ///
     /// Generic over the element type the plan will execute in; `T`
     /// defaults to `f64` through [`Plan`]'s own default parameter and
@@ -276,13 +201,30 @@ impl Planner {
     /// `planner.plan::<f32>()`.
     pub fn plan<T: GemmScalar>(self) -> Result<Plan<T>, PlanError> {
         let shape = self.shape.ok_or(PlanError::MissingShape)?;
-        let schedule: Vec<Decomposition> = match &self.alg {
-            AlgChoice::None => return Err(PlanError::MissingAlgorithm),
+        let depth = |dec: &Decomposition| {
+            self.steps
+                .unwrap_or(usize::from(dec.speedup_per_step() > 0.0))
+        };
+        let schedule: Vec<Decomposition> = match self.alg {
+            AlgChoice::Catalog => {
+                // Strict `>` keeps the first of equal speedups.
+                let dec = fmm_algo::candidates_for_shape(shape.0, shape.1, shape.2)
+                    .into_iter()
+                    .map(|a| a.dec)
+                    .reduce(|best, d| {
+                        if d.speedup_per_step() > best.speedup_per_step() {
+                            d
+                        } else {
+                            best
+                        }
+                    })
+                    .expect("the catalog always holds Strassen");
+                let steps = depth(&dec);
+                vec![dec; steps]
+            }
             AlgChoice::Single(dec) => {
-                let steps = self
-                    .steps
-                    .unwrap_or_else(|| self.recommended_depth(dec, shape));
-                vec![dec.clone(); steps]
+                let steps = depth(&dec);
+                vec![dec; steps]
             }
             AlgChoice::Schedule(s) => {
                 if let Some(steps) = self.steps {
@@ -293,31 +235,10 @@ impl Planner {
                         });
                     }
                 }
-                s.clone()
-            }
-            AlgChoice::Auto(cands) => {
-                if cands.is_empty() {
-                    return Err(PlanError::EmptyCatalog);
-                }
-                let mut best: Option<(f64, &Decomposition, usize)> = None;
-                for dec in cands {
-                    let steps = self
-                        .steps
-                        .unwrap_or_else(|| self.recommended_depth(dec, shape));
-                    let score = (1.0 + dec.speedup_per_step()).powi(steps as i32);
-                    if best.is_none_or(|(s, _, _)| score > s) {
-                        best = Some((score, dec, steps));
-                    }
-                }
-                let (_, dec, steps) = best.expect("candidates are non-empty");
-                vec![dec.clone(); steps]
+                s
             }
         };
-        let opts = Options {
-            additions: self.additions,
-            cse: self.cse,
-            scheme: self.scheme,
-        };
+        let opts = self.opts;
         let levels: Vec<LevelPlan<T>> = schedule
             .iter()
             .map(|d| {
@@ -353,8 +274,8 @@ impl Planner {
 /// plans (coefficients pre-injected into the element type) plus the
 /// precomputed temporary footprint of the whole recursion tree.
 /// Produced by [`Planner::plan`]; executed repeatedly against a
-/// [`Workspace`] with zero per-call allocation. `Plan` (no parameter)
-/// is a `Plan<f64>`.
+/// [`Workspace`] that never grows after the first call. `Plan` (no
+/// parameter) is a `Plan<f64>`.
 pub struct Plan<T = f64> {
     levels: Vec<LevelPlan<T>>,
     opts: Options,
@@ -401,7 +322,9 @@ impl<T: GemmScalar> Plan<T> {
     }
 
     /// `C = A · B`. After the first call on a given `workspace`,
-    /// repeated calls allocate nothing.
+    /// repeated calls reuse it without growing it
+    /// ([`ExecStatsSnapshot::workspace_reused`]); the recursion's
+    /// per-node bookkeeping (block splits, term lists) still allocates.
     ///
     /// # Panics
     /// Panics when the operand shapes differ from [`Plan::shape`] (`B`
@@ -461,53 +384,6 @@ impl<T: GemmScalar> Plan<T> {
         );
         reused
     }
-
-    /// Batched front door: run every `(Aᵢ, Bᵢ)` product of the batch in
-    /// parallel — one task per problem, sharing nothing but the plan,
-    /// load-balanced across the current pool by the work-stealing
-    /// runtime (`rayon::current_num_threads` wide; run inside
-    /// `ThreadPool::install` or set `FMM_THREADS` to control it) — and
-    /// return the fresh outputs. All problems must have the planned
-    /// shape. For allocation-free repeated batches, keep the outputs
-    /// and workspaces and use [`Plan::execute_batch_into`].
-    pub fn execute_batch(
-        &self,
-        batch: &[(&DenseMatrix<T>, &DenseMatrix<T>)],
-    ) -> Vec<DenseMatrix<T>> {
-        let (m, _, n) = self.shape;
-        let mut outs: Vec<DenseMatrix<T>> =
-            batch.iter().map(|_| DenseMatrix::zeros(m, n)).collect();
-        let mut workspaces: Vec<Workspace<T>> =
-            batch.iter().map(|_| Workspace::for_plan(self)).collect();
-        self.execute_batch_into(batch, &mut outs, &mut workspaces);
-        outs
-    }
-
-    /// As [`Plan::execute_batch`], writing into caller-provided outputs
-    /// and workspaces (one per problem) so repeated batches allocate
-    /// nothing.
-    ///
-    /// # Panics
-    /// Panics when the three slices differ in length or any problem
-    /// differs from the planned shape.
-    pub fn execute_batch_into(
-        &self,
-        batch: &[(&DenseMatrix<T>, &DenseMatrix<T>)],
-        outs: &mut [DenseMatrix<T>],
-        workspaces: &mut [Workspace<T>],
-    ) {
-        assert_eq!(batch.len(), outs.len(), "one output per batch problem");
-        assert_eq!(
-            batch.len(),
-            workspaces.len(),
-            "one workspace per batch problem"
-        );
-        rayon::scope(|scope| {
-            for ((&(a, b), c), ws) in batch.iter().zip(outs.iter_mut()).zip(workspaces.iter_mut()) {
-                scope.spawn(move |_| self.execute(a, b, c, ws));
-            }
-        });
-    }
 }
 
 #[cfg(test)]
@@ -523,10 +399,6 @@ mod tests {
         crate::codegen_fixture()
     }
 
-    fn flat_profile() -> GemmProfile {
-        GemmProfile::from_samples(vec![(64, 4.0), (4096, 4.0)])
-    }
-
     fn reference(a: &Matrix, b: &Matrix) -> Matrix {
         let mut c = Matrix::zeros(a.rows(), b.cols());
         naive_gemm(1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
@@ -534,34 +406,53 @@ mod tests {
     }
 
     #[test]
-    fn flat_profile_plans_deep_strassen_and_shallow_classical() {
+    fn default_depth_is_one_step_for_strassen_and_none_for_classical() {
         let plan = Planner::new()
             .shape(512, 512, 512)
             .algorithm(&strassen())
-            .profile(flat_profile())
             .plan::<f64>()
             .unwrap();
-        assert!(plan.depth() > 0, "flat profile must recurse Strassen");
+        assert_eq!(plan.depth(), 1, "Strassen saves multiplies: one step");
 
         let plan = Planner::new()
             .shape(512, 512, 512)
             .algorithm(&classical(2, 2, 2))
-            .profile(flat_profile())
             .plan::<f64>()
             .unwrap();
         assert_eq!(plan.depth(), 0, "classical has no speedup, never pays");
     }
 
     #[test]
-    fn auto_algorithm_prefers_the_faster_candidate() {
-        let cands = vec![classical(2, 2, 2), strassen()];
+    fn catalog_default_keeps_the_first_of_equal_speedups() {
+        // ⟨2,3,3⟩:15, ⟨3,3,4⟩:30 and ⟨3,3,6⟩:45 all save exactly 20%
+        // per step; the shape's ranking decides which one plans.
+        for ((m, k, n), rank) in [
+            ((64, 64, 64), 30),
+            ((100, 200, 300), 15),
+            ((512, 32, 512), 45),
+        ] {
+            let ranked = fmm_algo::candidates_for_shape(m, k, n);
+            let top = ranked
+                .iter()
+                .map(|a| a.dec.speedup_per_step())
+                .fold(f64::MIN, f64::max);
+            let tied: Vec<usize> = ranked
+                .iter()
+                .filter(|a| a.dec.speedup_per_step() == top)
+                .map(|a| a.dec.rank())
+                .collect();
+            assert_eq!(tied.len(), 3, "{m}x{k}x{n}: {tied:?}");
+            assert_eq!(tied[0], rank, "{m}x{k}x{n}: {tied:?}");
+            let plan = Planner::new().shape(m, k, n).plan::<f64>().unwrap();
+            assert_eq!(plan.depth(), 1);
+            assert_eq!(plan.certificate().composed_rank, rank as u64);
+        }
         let plan = Planner::new()
-            .shape(256, 256, 256)
-            .auto_algorithm(&cands)
-            .profile(flat_profile())
+            .shape(64, 64, 64)
+            .steps(2)
             .plan::<f64>()
             .unwrap();
-        assert!(plan.depth() > 0);
+        assert_eq!(plan.certificate().composed_rank, 30 * 30);
     }
 
     #[test]
@@ -569,18 +460,6 @@ mod tests {
         assert_eq!(
             Planner::new().algorithm(&strassen()).plan::<f64>().err(),
             Some(PlanError::MissingShape)
-        );
-        assert_eq!(
-            Planner::new().shape(8, 8, 8).plan::<f64>().err(),
-            Some(PlanError::MissingAlgorithm)
-        );
-        assert_eq!(
-            Planner::new()
-                .shape(8, 8, 8)
-                .auto_algorithm(&[])
-                .plan::<f64>()
-                .err(),
-            Some(PlanError::EmptyCatalog)
         );
         let s = strassen();
         let sched = [&s, &s];
@@ -667,33 +546,6 @@ mod tests {
             }
             last_bytes = Some(stats.workspace_bytes);
             assert_eq!(stats.workspace_reused, trial > 0);
-        }
-    }
-
-    #[test]
-    fn batch_matches_reference_per_problem() {
-        let plan = Planner::new()
-            .shape(40, 40, 40)
-            .algorithm(&strassen())
-            .steps(1)
-            .plan()
-            .unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
-        let problems: Vec<(Matrix, Matrix)> = (0..5)
-            .map(|_| {
-                (
-                    Matrix::random(40, 40, &mut rng),
-                    Matrix::random(40, 40, &mut rng),
-                )
-            })
-            .collect();
-        let batch: Vec<(&Matrix, &Matrix)> = problems.iter().map(|(a, b)| (a, b)).collect();
-        let outs = plan.execute_batch(&batch);
-        assert_eq!(outs.len(), 5);
-        for ((a, b), c) in problems.iter().zip(&outs) {
-            let want = reference(a, b);
-            let d = max_abs_diff(&want.as_ref(), &c.as_ref()).unwrap();
-            assert!(d < 1e-9, "batch entry diff {d}");
         }
     }
 

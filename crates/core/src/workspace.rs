@@ -3,11 +3,11 @@
 //!
 //! Planning computes the exact peak temporary footprint by walking the
 //! recursion tree once ([`crate::Plan::workspace_len`]); executing then
-//! checks a right-sized slice out of a `Workspace` and performs **no**
-//! heap allocation — the FFTW/BLIS plan-execute discipline applied to
-//! fast matrix multiplication. A workspace grows monotonically: once it
-//! has served a plan, every further execute of that plan (or any
-//! smaller one) reuses the same buffer, which
+//! checks a right-sized slice out of a `Workspace` — the FFTW/BLIS
+//! plan-execute discipline applied to fast matrix multiplication. A
+//! workspace grows monotonically: once it has served a plan, every
+//! further execute of that plan (or any smaller one) reuses the same
+//! buffer without growing it, which
 //! [`crate::ExecStatsSnapshot::workspace_reused`] lets tests assert.
 //!
 //! The arena is carved in **elements of the plan's scalar type** —
@@ -22,9 +22,8 @@ use fmm_matrix::Scalar;
 /// A reusable bump arena for [`crate::Plan::execute`].
 ///
 /// Create one per thread of control (workspaces are not shared between
-/// concurrent executes; [`crate::Plan::execute_batch`] uses one per
-/// batch entry) and keep it alive across calls to amortize the single
-/// allocation.
+/// concurrent executes; the engine pools one per in-flight request)
+/// and keep it alive across calls to amortize the single allocation.
 #[derive(Debug)]
 pub struct Workspace<T = f64> {
     buf: Vec<T>,
@@ -43,7 +42,7 @@ impl<T: GemmScalar> Workspace<T> {
     }
 
     /// A workspace pre-sized for `plan`, so even the first
-    /// [`crate::Plan::execute`] allocates nothing.
+    /// [`crate::Plan::execute`] does not grow it.
     pub fn for_plan(plan: &Plan<T>) -> Self {
         Workspace {
             buf: vec![T::ZERO; plan.workspace_len()],

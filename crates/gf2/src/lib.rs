@@ -21,7 +21,7 @@
 //!   rows of `B`) and its base-case gemm is M4RM, so [`Gf2Matrix`] +
 //!   [`Gf2Planner`]/[`Gf2Plan`] is a core plan over words: Strassen
 //!   over the `.alg` catalog, BFS fan-out on the `fmm-runtime` pool,
-//!   a zero-alloc steady state via [`Gf2Workspace`], and the
+//!   a [`Gf2Workspace`] that never grows once sized, and the
 //!   executor's `fmm-trace` spans. This is the performance path.
 //!
 //! ## The coefficient-lift rule

@@ -23,7 +23,7 @@
 
 use crate::matrix::{Gf2Matrix, WORD_BITS};
 use crate::{Gf2, Gf2Word};
-use fmm_core::{Plan, PlanError, Planner, Scheme, Workspace};
+use fmm_core::{Options, Plan, PlanError, Planner, Scheme, Workspace};
 use fmm_matrix::{DenseMatrix, Scalar};
 use fmm_tensor::Decomposition;
 
@@ -115,10 +115,13 @@ impl Gf2Planner {
             .shape(m, k.div_ceil(WORD_BITS), n.div_ceil(WORD_BITS))
             .algorithm(&dec)
             .steps(depth)
-            .scheme(if parallel {
-                Scheme::Bfs
-            } else {
-                Scheme::Sequential
+            .options(Options {
+                scheme: if parallel {
+                    Scheme::Bfs
+                } else {
+                    Scheme::Sequential
+                },
+                ..Options::default()
             })
             .plan::<Gf2Word>()?;
         // `workspace_words` adds a copy of `B` padded to whole words of
@@ -213,8 +216,8 @@ impl Gf2Plan {
 
 /// Reusable arena for [`Gf2Plan::execute`]: the executor's word
 /// workspace plus the padded copy of `B`. Sized once (e.g. via
-/// [`Gf2Workspace::for_plan`]), every further execute of the plan is
-/// allocation-free.
+/// [`Gf2Workspace::for_plan`]), it never grows on a further execute of
+/// the plan.
 pub struct Gf2Workspace {
     core: Workspace<Gf2Word>,
     padded_b: DenseMatrix<Gf2Word>,

@@ -20,6 +20,7 @@
 use fmm_gemm::GemmScalar;
 use fmm_matrix::DenseMatrix;
 use std::io::{self, Read, Write};
+use std::time::{Duration, Instant};
 
 /// Protocol version emitted and accepted by this build.
 pub const WIRE_VERSION: u8 = 1;
@@ -31,6 +32,13 @@ pub const MAX_FRAME: usize = 1 << 28; // 256 MiB
 
 /// Fixed header bytes in every payload: version, kind, request id.
 const HEADER: usize = 1 + 1 + 8;
+
+/// How long a peer may go without sending a byte once a frame has
+/// started. Routers and shards read with their 50 ms poll tick as the
+/// socket timeout; a sender descheduled for longer than one tick
+/// mid-frame is waited for, so that only a wedged peer truncates a
+/// frame (30 s, the client's default I/O timeout).
+const FRAME_STALL: Duration = Duration::from_secs(30);
 
 /// Payload bytes ahead of the operands of a multiply request: header,
 /// dtype, `m`, `k`, `n`.
@@ -634,8 +642,9 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), WireError> 
 /// * `Err(IdleTimeout)` — the socket's read timeout elapsed with *no*
 ///   bytes of a new frame seen; the connection is still healthy (a
 ///   shard uses this as its drain-poll tick).
-/// * `Err(Truncated)` — the peer closed (or stalled past the timeout)
-///   mid-frame.
+/// * `Err(Truncated)` — the peer closed mid-frame, or sent nothing
+///   for 30 s once the frame had started (socket timeouts in between
+///   are waited through).
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, WireError> {
     // First byte separately: distinguishes clean close / idle timeout
     // from a mid-frame truncation.
@@ -664,20 +673,27 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, WireError> {
     Frame::decode(&payload).map(Some)
 }
 
-/// `read_exact` that folds EOF and read-timeout into
-/// [`WireError::Truncated`]: once a frame has started, the peer must
-/// finish it within the socket timeout.
+/// `read_exact` that folds EOF into [`WireError::Truncated`] and reads
+/// through socket timeouts until the peer has sent nothing for
+/// [`FRAME_STALL`], which is a truncation too: once a frame has
+/// started, a poll-tick timeout only means the sender is slow.
 fn read_exactly<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), WireError> {
     let mut filled = 0;
+    let mut last_byte = Instant::now();
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
             Ok(0) => return Err(WireError::Truncated),
-            Ok(n) => filled += n,
+            Ok(n) => {
+                filled += n;
+                last_byte = Instant::now();
+            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                return Err(WireError::Truncated)
+                if last_byte.elapsed() >= FRAME_STALL {
+                    return Err(WireError::Truncated);
+                }
             }
             Err(e) => return Err(WireError::Io(e)),
         }

@@ -11,8 +11,10 @@ use fmm_serve::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
+use std::time::Duration;
 
 fn socket(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -175,6 +177,50 @@ fn oversized_product_is_a_typed_shape_error_and_the_connection_survives() {
         Err(ServeError::TooLarge) => {}
         other => panic!("expected a client-side size rejection, got {other:?}"),
     }
+    client.drain().expect("drain");
+    shard.join().expect("shard exits");
+}
+
+#[test]
+fn a_sender_stalled_mid_frame_is_served_not_dropped() {
+    // The shard reads with its 50 ms poll tick as the socket timeout.
+    // A sender descheduled for several ticks between two writes of one
+    // frame must still get its product on the same connection.
+    let shard = ShardServer::start(ShardConfig::new(socket("stall"))).expect("start shard");
+    let mut stream = UnixStream::connect(shard.socket()).expect("connect");
+    let mut rng = StdRng::seed_from_u64(17);
+    let a = DenseMatrix::<f64>::random(64, 48, &mut rng);
+    let b = DenseMatrix::<f64>::random(48, 40, &mut rng);
+    let payload = Frame::MultiplyReq {
+        id: 1,
+        dtype: WireDtype::F64,
+        m: 64,
+        k: 48,
+        n: 40,
+        a: encode_matrix(&a),
+        b: encode_matrix(&b),
+    }
+    .encode();
+    let (head, tail) = payload.split_at(payload.len() / 2);
+    stream
+        .write_all(&(payload.len() as u32).to_le_bytes())
+        .expect("send prefix");
+    stream.write_all(head).expect("send first half");
+    std::thread::sleep(Duration::from_millis(200));
+    stream.write_all(tail).expect("send second half");
+    match read_frame(&mut stream).expect("response") {
+        Some(Frame::MultiplyOk { id: 1, c, .. }) => {
+            let got = decode_matrix::<f64>(64, 40, &c).expect("decode product");
+            assert_eq!(got.as_slice(), reference(&a, &b).as_slice());
+        }
+        other => panic!("expected the product, got {other:?}"),
+    }
+
+    drop(stream);
+    let mut client = ServeClient::connect(shard.socket()).expect("connect");
+    let report = ShardStatsReport::from_json(&client.stats_json().expect("stats rpc"))
+        .expect("parse report");
+    assert_eq!(report.malformed, 0, "the stalled frame was not dropped");
     client.drain().expect("drain");
     shard.join().expect("shard exits");
 }

@@ -18,7 +18,7 @@ fn main() {
     println!("engine serving at width {}", engine.threads());
 
     // A mixed-shape workload — each shape is planned on first sight
-    // (auto-selected from the catalog for its aspect ratio) and cached.
+    // (the planner's catalog default for the shape) and cached.
     let shapes = [(256, 256, 256), (192, 384, 192), (384, 192, 96)];
     let mut rng = StdRng::seed_from_u64(7);
     let problems: Vec<(Matrix, Matrix)> = shapes
@@ -33,7 +33,7 @@ fn main() {
 
     // Synchronous serving from client threads: every thread shares the
     // same engine clone; steady-state requests hit the plan cache and
-    // reuse pooled workspace arenas (zero allocation).
+    // reuse pooled workspace arenas (no new arena).
     let t0 = Instant::now();
     let served: usize = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)

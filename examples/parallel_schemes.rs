@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example parallel_schemes`
 
 use fast_matmul::algo;
-use fast_matmul::core::{effective_gflops, Planner, Scheme, Workspace};
+use fast_matmul::core::{effective_gflops, Options, Planner, Scheme, Workspace};
 use fast_matmul::matrix::{relative_error, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,7 +41,10 @@ fn main() {
             .shape(n, n, n)
             .algorithm(&strassen.dec)
             .steps(2)
-            .scheme(scheme)
+            .options(Options {
+                scheme,
+                ..Options::default()
+            })
             .plan()
             .unwrap();
         let (mut c, mut ws) = (Matrix::zeros(n, n), Workspace::for_plan(&plan));

@@ -1,11 +1,11 @@
-//! Quickstart: plan a Strassen multiplication once, execute it many
-//! times allocation-free, check the result against the classical
+//! Quickstart: plan a Strassen multiplication once, execute it against
+//! a reusable workspace, check the result against the classical
 //! baseline, and report the paper's effective-GFLOPS metric for both.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use fast_matmul::algo;
-use fast_matmul::core::{effective_gflops, GemmProfile, Planner, Workspace};
+use fast_matmul::core::{effective_gflops, Planner, Workspace};
 use fast_matmul::gemm;
 use fast_matmul::matrix::{relative_error, Matrix};
 use rand::rngs::StdRng;
@@ -23,19 +23,17 @@ fn main() {
     let c_classical = gemm::matmul(&a, &b);
     let classical_secs = t0.elapsed().as_secs_f64();
 
-    // Plan: Strassen from the catalog, with the recursion depth chosen
-    // by the §3.4 cutoff rule from a quick gemm profile of this
-    // machine. Planning is the expensive, once-per-shape step.
+    // Plan: Strassen from the catalog. Without explicit steps the
+    // planner takes one fast step for an algorithm that saves
+    // multiplies. Planning is the once-per-shape step.
     let strassen = algo::by_name("strassen").expect("catalog");
     strassen
         .dec
         .verify(0.0)
         .expect("Strassen satisfies the Brent equations");
-    let profile = GemmProfile::measure(&[64, 128, 256, 512]);
     let plan = Planner::new()
         .shape(n, n, n)
         .algorithm(&strassen.dec)
-        .profile(profile)
         .plan()
         .expect("complete configuration");
     println!(
@@ -44,7 +42,7 @@ fn main() {
         plan.workspace_bytes() as f64 / 1e6
     );
 
-    // Execute: the hot path reuses one workspace, allocating nothing
+    // Execute: the hot path reuses one workspace, which never grows
     // after the first call.
     let mut ws = Workspace::for_plan(&plan);
     let mut c_fast = Matrix::zeros(n, n);

@@ -4,54 +4,45 @@
 //!
 //! The primary entry point is the plan/execute API of [`core`]
 //! (`fmm-core`): a [`core::Planner`] resolves the algorithm, recursion
-//! depth (§3.4 cutoff rule, optionally from a measured
-//! [`core::GemmProfile`]), parallel scheme and addition strategy into
-//! an immutable [`core::Plan`], and executing the plan against a
-//! reusable [`core::Workspace`] allocates nothing after the first call:
+//! depth, parallel scheme and addition strategy into an immutable
+//! [`core::Plan`], and executing the plan against a reusable
+//! [`core::Workspace`] never grows the workspace after the first call:
 //!
 //! ```
 //! use fast_matmul::algo;
-//! use fast_matmul::core::{GemmProfile, Planner, Workspace};
+//! use fast_matmul::core::{Planner, Workspace};
 //! use fast_matmul::matrix::Matrix;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
-//! // Plan: pick depth for this machine profile and problem shape.
-//! let profile = GemmProfile::from_samples(vec![(64, 4.0), (4096, 4.0)]);
+//! // Plan: Strassen saves multiplies, so the planner takes one step.
 //! let plan = Planner::new()
 //!     .shape(256, 256, 256)
 //!     .algorithm(&algo::strassen())
-//!     .profile(profile)
 //!     .plan()
 //!     .unwrap();
+//! assert_eq!(plan.depth(), 1);
 //!
-//! // Execute: repeated multiplies reuse one workspace, zero alloc.
+//! // Execute: repeated multiplies reuse one workspace.
 //! let mut ws = Workspace::for_plan(&plan);
 //! let mut rng = StdRng::seed_from_u64(1);
 //! let a = Matrix::random(256, 256, &mut rng);
 //! let b = Matrix::random(256, 256, &mut rng);
 //! let mut c = Matrix::zeros(256, 256);
 //! for _ in 0..3 {
-//!     plan.execute(&a, &b, &mut c, &mut ws);
+//!     let stats = plan.execute_with_stats(&a, &b, &mut c, &mut ws);
+//!     assert!(stats.workspace_reused);
 //! }
-//!
-//! // Batched front door: independent same-shape products in parallel.
-//! let outs = plan.execute_batch(&[(&a, &b), (&b, &a)]);
-//! assert_eq!(outs.len(), 2);
 //! ```
 //!
-//! Let the planner choose the algorithm too, ranked for the problem
-//! shape by [`algo::candidates_for_shape`]:
+//! Without an algorithm the planner picks one for the shape: the entry
+//! with the highest per-step speedup among
+//! [`algo::candidates_for_shape`], first in that ranking on a tie.
 //!
 //! ```no_run
-//! use fast_matmul::{algo, core::{GemmProfile, Planner}};
-//! let cands: Vec<_> = algo::candidates_for_shape(2000, 100, 2000)
-//!     .into_iter()
-//!     .map(|a| a.dec)
-//!     .collect();
+//! use fast_matmul::core::Planner;
 //! let plan = Planner::new()
 //!     .shape(2000, 100, 2000)
-//!     .auto_algorithm(&cands)
-//!     .profile(GemmProfile::measure(&[128, 256, 512, 1024]))
+//!     .steps(2) // or leave it out for one fast step
 //!     .plan::<f64>() // or ::<f32> — see "Element types" below
 //!     .unwrap();
 //! ```
@@ -75,9 +66,9 @@
 //!
 //! For long-lived processes that multiply *many* shapes from many
 //! threads, [`FmmEngine`] wraps the whole lifecycle — a work-stealing
-//! thread pool, an LRU plan cache that auto-plans new shapes from the
-//! catalog, and a workspace pool, so steady-state serving allocates
-//! nothing. Submit synchronously or get a handle back:
+//! thread pool, an LRU plan cache that plans new shapes through one
+//! [`Planner`], and a workspace pool, so steady-state serving creates no
+//! new arena. Submit synchronously or get a handle back:
 //!
 //! ```
 //! use fast_matmul::FmmEngine;
@@ -131,6 +122,6 @@ pub use fmm_trace as trace;
 pub use fmm_verify as verify;
 
 pub use fmm_core::{
-    EngineBuilder, EngineError, EngineStats, FmmEngine, GemmProfile, MultiplyHandle, Options, Plan,
+    EngineBuilder, EngineError, EngineStats, FmmEngine, MultiplyHandle, Options, Plan,
     PlanCertificate, PlanError, Planner, Workspace,
 };

@@ -86,7 +86,10 @@ fn run_f32_in_pool(
         .shape(p, q, r)
         .algorithm(&algo::strassen())
         .steps(2)
-        .scheme(scheme)
+        .options(Options {
+            scheme,
+            ..Options::default()
+        })
         .plan::<f32>()
         .unwrap();
     let mut rng = StdRng::seed_from_u64(seed);

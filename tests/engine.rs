@@ -6,10 +6,10 @@
 //! These exercise the root-facade re-exports on purpose: everything is
 //! imported from `fast_matmul::{...}` directly.
 
-use fast_matmul::core::PLAN_CACHE_CAPACITY;
+use fast_matmul::core::{Scheme, PLAN_CACHE_CAPACITY};
 use fast_matmul::gemm::naive_gemm;
 use fast_matmul::matrix::{max_abs_diff, Matrix};
-use fast_matmul::{EngineError, FmmEngine, Workspace};
+use fast_matmul::{EngineError, FmmEngine, Options, Planner, Workspace};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -100,7 +100,7 @@ fn concurrent_mixed_shape_submits_match_sequential_plan_execute_bitwise() {
     assert_eq!(stats.plan_cache_hits, (CLIENTS * ROUNDS) as u64);
 }
 
-/// Acceptance: steady-state serving is zero-alloc. After warm-up,
+/// Acceptance: steady-state serving creates no arena. After warm-up,
 /// repeated multiplies on a cached shape must be all cache hits and all
 /// workspace reuses, with no new arenas created.
 #[test]
@@ -130,7 +130,7 @@ fn steady_state_serving_allocates_no_new_arenas() {
     );
 }
 
-/// Acceptance: the f32 twin of the zero-alloc steady state. An
+/// Acceptance: the f32 twin of the arena-reuse steady state. An
 /// `FmmEngine<f32>` must show the exact same cache/arena discipline —
 /// all hits, all workspace reuses, no new arenas — and its results must
 /// match the f32 classical reference.
@@ -198,6 +198,44 @@ fn plan_cache_lru_eviction_and_reuse() {
     let s = engine.stats();
     assert_eq!(s.plan_cache_misses, PLAN_CACHE_CAPACITY as u64 + 2);
     assert_eq!(s.plan_cache_evictions, 2);
+}
+
+/// The engine plans through the one `Planner`: a default width-2
+/// engine and a planner given the same options (HYBRID) make the same
+/// plan for every shape, and pinning the depth to 0 on both plans plain
+/// gemm with no workspace.
+#[test]
+fn engine_and_planner_make_one_plan() {
+    let paper = [1024, 1536]
+        .into_iter()
+        .flat_map(|n| [(n, n, n), (n, 480, n), (n, 960, 960)]);
+    let shapes: Vec<_> = paper
+        .chain([(64, 64, 64), (100, 200, 300), (512, 32, 512), (1, 300, 200)])
+        .collect();
+    let opts = Options {
+        scheme: Scheme::Hybrid,
+        ..Options::default()
+    };
+    let engine = FmmEngine::<f64>::builder().threads(2).build().unwrap();
+    let flat = FmmEngine::<f64>::builder()
+        .threads(2)
+        .steps(0)
+        .build()
+        .unwrap();
+    for (m, k, n) in shapes {
+        let planner = Planner::new().shape(m, k, n).options(opts);
+        let want = planner.clone().plan::<f64>().unwrap();
+        let got = engine.plan_for(m, k, n).unwrap();
+        assert_eq!(got.certificate(), want.certificate(), "{m}x{k}x{n}");
+        assert_eq!(got.options(), want.options(), "{m}x{k}x{n}");
+
+        let want = planner.steps(0).plan().unwrap();
+        let got = flat.plan_for(m, k, n).unwrap();
+        for plan in [&want, &*got] {
+            assert_eq!(plan.depth(), 0, "{m}x{k}x{n}");
+            assert_eq!(plan.workspace_len(), 0, "{m}x{k}x{n}");
+        }
+    }
 }
 
 #[test]

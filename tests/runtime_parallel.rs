@@ -4,7 +4,7 @@
 //! survive panicking tasks without leaking scheduler state.
 
 use fast_matmul::algo;
-use fast_matmul::core::{Planner, Scheme, Workspace};
+use fast_matmul::core::{Options, Planner, Scheme, Workspace};
 use fast_matmul::matrix::Matrix;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -23,7 +23,10 @@ fn run_in_pool(threads: usize, scheme: Scheme, p: usize, q: usize, r: usize, see
         .shape(p, q, r)
         .algorithm(&algo::strassen())
         .steps(2)
-        .scheme(scheme)
+        .options(Options {
+            scheme,
+            ..Options::default()
+        })
         .plan()
         .unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -58,7 +61,10 @@ fn bfs_with_four_workers_reports_steals() {
         .shape(256, 256, 256)
         .algorithm(&algo::strassen())
         .steps(2)
-        .scheme(Scheme::Bfs)
+        .options(Options {
+            scheme: Scheme::Bfs,
+            ..Options::default()
+        })
         .plan()
         .unwrap();
     let mut rng = StdRng::seed_from_u64(7);
@@ -96,7 +102,10 @@ fn sequential_plans_report_no_parallelism() {
         .shape(64, 64, 64)
         .algorithm(&algo::strassen())
         .steps(1)
-        .scheme(Scheme::Sequential)
+        .options(Options {
+            scheme: Scheme::Sequential,
+            ..Options::default()
+        })
         .plan()
         .unwrap();
     let mut rng = StdRng::seed_from_u64(9);
@@ -120,7 +129,10 @@ fn task_panic_does_not_poison_subsequent_executions() {
         .shape(80, 80, 80)
         .algorithm(&algo::strassen())
         .steps(2)
-        .scheme(Scheme::Bfs)
+        .options(Options {
+            scheme: Scheme::Bfs,
+            ..Options::default()
+        })
         .plan()
         .unwrap();
     let mut rng = StdRng::seed_from_u64(11);
@@ -179,7 +191,10 @@ fn repeated_width_two_bfs_and_hybrid_executes_stay_correct() {
             .shape(n, n, n)
             .algorithm(&algo::strassen())
             .steps(2)
-            .scheme(scheme)
+            .options(Options {
+                scheme,
+                ..Options::default()
+            })
             .plan()
             .unwrap();
         let mut ws = Workspace::for_plan(&plan);

@@ -8,7 +8,7 @@
 //! `cargo test --release --test runtime_scaling -- --nocapture`.
 
 use fast_matmul::algo;
-use fast_matmul::core::{Planner, Scheme, Workspace};
+use fast_matmul::core::{Options, Planner, Scheme, Workspace};
 use fast_matmul::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,7 +41,10 @@ fn bfs_at_four_workers_beats_one_worker() {
         .shape(n, n, n)
         .algorithm(&algo::strassen())
         .steps(2)
-        .scheme(Scheme::Bfs)
+        .options(Options {
+            scheme: Scheme::Bfs,
+            ..Options::default()
+        })
         .plan()
         .unwrap();
     let mut rng = StdRng::seed_from_u64(1);
