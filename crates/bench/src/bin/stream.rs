@@ -2,31 +2,28 @@
 //! microbenchmark and the gemm compute benchmark, each at 1..=P
 //! threads, demonstrating that additions (bandwidth-bound) scale worse
 //! than multiplications (compute-bound).
+//!
+//! The triad `c = a + 3·b` runs through `par_lincomb`, the write-once
+//! addition kernel the fast algorithms form their S/T/M sums with, on
+//! `len / 1024 × 1024` matrices.
 
 use fmm_bench::*;
-use rayon::prelude::*;
+use fmm_matrix::kernels::par_lincomb;
+use fmm_matrix::Matrix;
+
+/// Columns of the triad matrices.
+const COLS: usize = 1024;
 
 fn triad_gbs(len: usize, threads: usize, trials: usize) -> f64 {
-    let a = vec![1.0f64; len];
-    let b = vec![2.0f64; len];
-    let mut c = vec![0.0f64; len];
+    let rows = len / COLS;
+    let a = Matrix::filled(rows, COLS, 1.0);
+    let b = Matrix::filled(rows, COLS, 2.0);
+    let mut c = Matrix::zeros(rows, COLS);
+    let terms = [(1.0, a.as_ref()), (3.0, b.as_ref())];
     let tp = pool(threads);
-    let secs = tp.install(|| {
-        time_median(
-            || {
-                c.par_chunks_mut(1 << 14)
-                    .zip(a.par_chunks(1 << 14).zip(b.par_chunks(1 << 14)))
-                    .for_each(|(cc, (aa, bb))| {
-                        for i in 0..cc.len() {
-                            cc[i] = aa[i] + 3.0 * bb[i];
-                        }
-                    });
-            },
-            trials,
-        )
-    });
+    let secs = tp.install(|| time_median(|| par_lincomb(c.as_mut(), 0.0, &terms), trials));
     // triad moves 3 doubles per element
-    (len * 3 * 8) as f64 / secs / 1e9
+    (rows * COLS * 3 * 8) as f64 / secs / 1e9
 }
 
 fn main() {

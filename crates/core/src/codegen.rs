@@ -226,29 +226,8 @@ pub fn generate_rust(dec: &Decomposition, fn_name: &str, cse: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fmm_algo::strassen;
     use fmm_matrix::Matrix;
-
-    fn strassen() -> Decomposition {
-        let u = Matrix::from_rows(&[
-            &[1., 0., 1., 0., 1., -1., 0.],
-            &[0., 0., 0., 0., 1., 0., 1.],
-            &[0., 1., 0., 0., 0., 1., 0.],
-            &[1., 1., 0., 1., 0., 0., -1.],
-        ]);
-        let v = Matrix::from_rows(&[
-            &[1., 1., 0., -1., 0., 1., 0.],
-            &[0., 0., 1., 0., 0., 1., 0.],
-            &[0., 0., 0., 1., 0., 0., 1.],
-            &[1., 0., -1., 0., 1., 0., 1.],
-        ]);
-        let w = Matrix::from_rows(&[
-            &[1., 0., 0., 1., -1., 0., 1.],
-            &[0., 0., 1., 0., 1., 0., 0.],
-            &[0., 1., 0., 1., 0., 0., 0.],
-            &[1., -1., 1., 0., 0., 1., 0.],
-        ]);
-        Decomposition::new(2, 2, 2, u, v, w)
-    }
 
     #[test]
     fn generated_code_has_expected_structure() {

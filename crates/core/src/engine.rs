@@ -426,7 +426,8 @@ impl<T: GemmScalar> EngineInner<T> {
             .install(|| plan.execute_with_stats(a, b, c, &mut ws));
         self.checkin_workspace(ws);
         self.hists.record(
-            &format!("{}/{}", shape_class(m, ka, n), T::NAME),
+            shape_class(m, ka, n),
+            T::NAME,
             fmm_trace::now_ns().saturating_sub(t_req),
         );
         if trace {
@@ -523,9 +524,9 @@ impl<T: GemmScalar> FmmEngine<T> {
     }
 
     /// `C = A · B` into a caller-provided output: with the plan cached
-    /// and the workspace pool warm, this path creates no new arena
-    /// (the execute's per-node bookkeeping and the latency-histogram
-    /// label still allocate).
+    /// and the workspace pool warm, this path creates no new arena, and
+    /// a depth-0 plan makes no heap allocation at all (a fast step's
+    /// per-node bookkeeping in the executor still allocates).
     pub fn multiply_into(
         &self,
         a: &DenseMatrix<T>,
@@ -695,7 +696,7 @@ mod tests {
         let plan = Arc::new(
             Planner::new()
                 .shape(1, 1, 1)
-                .algorithm(&crate::codegen_fixture())
+                .algorithm(&fmm_algo::strassen())
                 .plan::<f64>()
                 .unwrap(),
         );
@@ -741,7 +742,7 @@ mod tests {
     fn fixed_schedule_engine_plans_the_schedule_depth() {
         let engine = FmmEngine::builder()
             .threads(1)
-            .schedule(&[crate::codegen_fixture(), crate::codegen_fixture()])
+            .schedule(&[fmm_algo::strassen(), fmm_algo::strassen()])
             .build()
             .unwrap();
         let plan = engine.plan_for(32, 32, 32).unwrap();

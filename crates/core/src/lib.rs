@@ -121,44 +121,16 @@ pub use plan::{cse_stats, CseStats};
 pub use planner::{Plan, PlanError, Planner};
 pub use workspace::Workspace;
 
-/// Strassen fixture shared by in-crate tests (planner, engine and
-/// executor tests all reuse this single U/V/W literal).
-#[cfg(test)]
-pub(crate) fn codegen_fixture() -> fmm_tensor::Decomposition {
-    let u = fmm_matrix::Matrix::from_rows(&[
-        &[1., 0., 1., 0., 1., -1., 0.],
-        &[0., 0., 0., 0., 1., 0., 1.],
-        &[0., 1., 0., 0., 0., 1., 0.],
-        &[1., 1., 0., 1., 0., 0., -1.],
-    ]);
-    let v = fmm_matrix::Matrix::from_rows(&[
-        &[1., 1., 0., -1., 0., 1., 0.],
-        &[0., 0., 1., 0., 0., 1., 0.],
-        &[0., 0., 0., 1., 0., 0., 1.],
-        &[1., 0., -1., 0., 1., 0., 1.],
-    ]);
-    let w = fmm_matrix::Matrix::from_rows(&[
-        &[1., 0., 0., 1., -1., 0., 1.],
-        &[0., 0., 1., 0., 1., 0., 0.],
-        &[0., 1., 0., 1., 0., 0., 0.],
-        &[1., -1., 1., 0., 0., 1., 0.],
-    ]);
-    fmm_tensor::Decomposition::new(2, 2, 2, u, v, w)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fmm_algo::strassen;
     use fmm_gemm::naive_gemm;
     use fmm_matrix::{max_abs_diff, Matrix};
     use fmm_tensor::compose::{classical, direct_sum_n, kron_compose};
     use fmm_tensor::Decomposition;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    fn strassen() -> Decomposition {
-        codegen_fixture()
-    }
 
     fn reference(a: &Matrix, b: &Matrix) -> Matrix {
         let mut c = Matrix::zeros(a.rows(), b.cols());

@@ -389,15 +389,12 @@ impl<T: GemmScalar> Plan<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fmm_algo::strassen;
     use fmm_gemm::naive_gemm;
     use fmm_matrix::{max_abs_diff, Matrix};
     use fmm_tensor::compose::classical;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    fn strassen() -> Decomposition {
-        crate::codegen_fixture()
-    }
 
     fn reference(a: &Matrix, b: &Matrix) -> Matrix {
         let mut c = Matrix::zeros(a.rows(), b.cols());

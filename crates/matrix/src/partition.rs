@@ -124,29 +124,6 @@ impl PeelSplit {
     }
 }
 
-/// Largest recursion depth `L` such that every level of an `⟨m,k,n⟩`
-/// algorithm sees sub-blocks no smaller than `min_dim` on the core
-/// problem (a simple static form of the paper's §3.4 cutoff rule).
-pub fn max_steps_for(
-    p: usize,
-    q: usize,
-    r: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    min_dim: usize,
-) -> usize {
-    let mut steps = 0;
-    let (mut p, mut q, mut r) = (p, q, r);
-    while p / m >= min_dim && q / k >= min_dim && r / n >= min_dim {
-        p /= m;
-        q /= k;
-        r /= n;
-        steps += 1;
-    }
-    steps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,15 +184,5 @@ mod tests {
     fn peel_split_core_empty_for_tiny_problems() {
         let s = PeelSplit::new(1, 5, 5, 2, 2, 2);
         assert!(s.core_is_empty());
-    }
-
-    #[test]
-    fn max_steps_examples() {
-        // 128 with base 2 and floor 16: 128→64→32→16, three steps.
-        assert_eq!(max_steps_for(128, 128, 128, 2, 2, 2, 16), 3);
-        // 100×1600×100 with base ⟨4,2,4⟩: one step leaves 25×800×25,
-        // whose row dim 25 admits no further step above floor 8.
-        assert_eq!(max_steps_for(100, 1600, 100, 4, 2, 4, 8), 1);
-        assert_eq!(max_steps_for(10, 10, 10, 2, 2, 2, 16), 0);
     }
 }

@@ -21,10 +21,10 @@
 //!   rethrown on the spawning side, as in rayon.
 //!
 //! The public surface mirrors the subset of rayon the workspace uses —
-//! [`join`], [`scope`], [`spawn`], [`ThreadPool::install`],
-//! [`current_num_threads`], and [`iter`]'s `par_chunks[_mut]` — so
-//! `vendor/rayon` is a thin facade over this crate and the documented
-//! one-line swap to the real rayon still holds.
+//! [`join`], [`scope`], [`ThreadPool::install`] and
+//! [`current_num_threads`] — so `vendor/rayon` is a thin facade over
+//! this crate. [`ThreadPool::spawn`] goes beyond rayon: it returns a
+//! [`JobHandle`] that `fmm_core::FmmEngine::submit` joins later.
 //!
 //! Two observability hooks go beyond rayon, feeding
 //! `fmm_core::ExecStatsSnapshot`:
@@ -39,20 +39,18 @@
 //! suite at both `FMM_THREADS=1` and `FMM_THREADS=4`.
 
 mod deque;
-pub mod iter;
 mod job;
 mod registry;
 
 pub use registry::{
-    current_num_threads, default_num_threads, join, scope, spawn, steal_count, worker_index,
-    JobHandle, Scope, ThreadPool, ThreadPoolBuildError, ThreadPoolBuilder, THREADS_ENV,
+    current_num_threads, default_num_threads, join, scope, steal_count, worker_index, JobHandle,
+    Scope, ThreadPool, ThreadPoolBuildError, ThreadPoolBuilder, THREADS_ENV,
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iter::{IndexedParallelIterator, ParallelSlice, ParallelSliceMut};
-    use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Mutex;
 
     #[test]
@@ -190,7 +188,7 @@ mod tests {
                         s.spawn(|_| {
                             let mut x = 0u64;
                             for i in 0..50_000 {
-                                x = x.wrapping_add(i * i);
+                                x = x.wrapping_add(std::hint::black_box(i) * i);
                             }
                             std::hint::black_box(x);
                         });
@@ -210,44 +208,6 @@ mod tests {
         let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
         let idx = pool.install(worker_index);
         assert!(matches!(idx, Some(0 | 1)));
-    }
-
-    #[test]
-    fn par_chunks_visits_everything_in_parallel() {
-        let data: Vec<u64> = (0..10_000).collect();
-        let sum = AtomicUsize::new(0);
-        data.par_chunks(97).for_each(|chunk| {
-            let s: u64 = chunk.iter().sum();
-            sum.fetch_add(s as usize, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 10_000 * 9_999 / 2);
-    }
-
-    #[test]
-    fn par_chunks_mut_zip_matches_sequential_triad() {
-        let a: Vec<f64> = (0..5000).map(|i| i as f64).collect();
-        let b: Vec<f64> = (0..5000).map(|i| (i * 2) as f64).collect();
-        let mut c = vec![0.0f64; 5000];
-        c.par_chunks_mut(64)
-            .zip(a.par_chunks(64).zip(b.par_chunks(64)))
-            .for_each(|(cc, (aa, bb))| {
-                for i in 0..cc.len() {
-                    cc[i] = aa[i] + 3.0 * bb[i];
-                }
-            });
-        for i in 0..5000 {
-            assert_eq!(c[i], a[i] + 3.0 * b[i]);
-        }
-    }
-
-    #[test]
-    fn detached_spawn_completes() {
-        use std::sync::mpsc;
-        let (tx, rx) = mpsc::channel();
-        spawn(move || {
-            tx.send(7).unwrap();
-        });
-        assert_eq!(rx.recv_timeout(std::time::Duration::from_secs(10)), Ok(7));
     }
 
     #[test]

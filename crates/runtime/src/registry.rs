@@ -357,8 +357,8 @@ impl std::fmt::Debug for ThreadPool {
 }
 
 impl ThreadPool {
-    /// Run `op` inside the pool: `join`/`scope`/`spawn` calls made from
-    /// `op` schedule onto this pool's workers, and
+    /// Run `op` inside the pool: `join`/`scope` calls made from `op`
+    /// schedule onto this pool's workers, and
     /// [`current_num_threads`] reports this pool's width. The calling
     /// thread blocks until `op` returns; panics propagate.
     pub fn install<OP, R>(&self, op: OP) -> R
@@ -510,7 +510,7 @@ impl<T: Send + 'static> JobHandle<T> {
 static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
 
 /// The lazily-created global pool ([`default_num_threads`] wide) that
-/// serves `join`/`scope`/`spawn` calls made outside any
+/// serves `join`/`scope` calls made outside any
 /// [`ThreadPool::install`].
 fn global_pool() -> &'static ThreadPool {
     GLOBAL.get_or_init(|| {
@@ -798,33 +798,5 @@ where
             r
         }
         Err(payload) => panic::resume_unwind(payload),
-    }
-}
-
-/// Fire-and-forget task on the current (or global) pool. The closure
-/// must be `'static`; a panic inside is caught and reported to stderr
-/// rather than taking the worker down.
-pub fn spawn<F>(body: F)
-where
-    F: FnOnce() + Send + 'static,
-{
-    let job = HeapJob::into_job_ref(move || {
-        if panic::catch_unwind(AssertUnwindSafe(body)).is_err() {
-            eprintln!("fmm-runtime: detached task panicked (ignored)");
-        }
-    });
-    let worker = WORKER.with(|w| w.get());
-    match worker {
-        Some((addr, index)) => {
-            // SAFETY: the worker TLS holds its own registry's address,
-            // and a registry outlives its workers.
-            let registry = unsafe { &*(addr as *const Registry) };
-            if let Err(job) = registry.push_local(index, job) {
-                // SAFETY: deque full — the rejected ref is this
-                // HeapJob's only copy; this is its single run.
-                unsafe { job.execute() };
-            }
-        }
-        None => global_pool().registry.inject(job),
     }
 }

@@ -11,31 +11,9 @@
 //!
 //! Usage: `discover <m> <k> <n> <rank> <restarts> [seed0]`
 
+use fmm_algo::serialize;
 use fmm_search::{polish_to_exact, search, AlsOptions};
-use fmm_tensor::Decomposition;
-use std::fmt::Write as _;
 use std::time::Instant;
-
-fn serialize(d: &Decomposition) -> String {
-    let mut s = String::new();
-    writeln!(s, "{} {} {} {}", d.m, d.k, d.n, d.rank()).unwrap();
-    for mat in [&d.u, &d.v, &d.w] {
-        for i in 0..mat.rows() {
-            let row: Vec<String> = (0..mat.cols())
-                .map(|j| {
-                    let x = mat[(i, j)];
-                    if x == x.round() && x.abs() < 1e6 {
-                        format!("{}", x as i64)
-                    } else {
-                        format!("{x:.17e}")
-                    }
-                })
-                .collect();
-            writeln!(s, "{}", row.join(" ")).unwrap();
-        }
-    }
-    s
-}
 
 fn main() {
     let mut args: Vec<String> = std::env::args().collect();
@@ -89,8 +67,8 @@ fn main() {
         }
         if let Some(dec) = best {
             let path = format!("crates/algo/data/apa_{m}{k}{n}_{rank}.alg");
-            let comment = format!("# APA border-rank fit, residual {best_res:.3e}\n");
-            std::fs::write(&path, comment + &serialize(&dec)).unwrap();
+            let comment = format!("APA border-rank fit, residual {best_res:.3e}");
+            std::fs::write(&path, serialize(&dec, Some(&comment))).unwrap();
             println!("APA ⟨{m},{k},{n}⟩ rank {rank}: residual {best_res:.3e} → wrote {path}");
         }
         return;
@@ -109,7 +87,7 @@ fn main() {
                 t0.elapsed()
             );
             let path = format!("crates/algo/data/searched_{m}{k}{n}_{rank}.alg");
-            std::fs::write(&path, serialize(&polished)).unwrap();
+            std::fs::write(&path, serialize(&polished, None)).unwrap();
             println!("wrote {path}");
         }
         Some(r) => {

@@ -23,6 +23,21 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Total forward attempts per multiply (first try + retries).
+const MAX_ATTEMPTS: usize = 12;
+
+/// First retry backoff; doubles per attempt.
+const BASE_BACKOFF: Duration = Duration::from_millis(2);
+
+/// Backoff ceiling.
+const MAX_BACKOFF: Duration = Duration::from_millis(200);
+
+/// Accept/idle poll granularity and supervisor health interval.
+const POLL_TICK: Duration = Duration::from_millis(50);
+
+/// How long a (re)spawned shard may take to answer health.
+const READY_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Everything a router needs to come up.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
@@ -32,20 +47,10 @@ pub struct RouterConfig {
     pub launcher: ShardLauncher,
     /// One spec per shard slot.
     pub shards: Vec<ShardSpec>,
-    /// Total forward attempts per multiply (first try + retries).
-    pub max_attempts: usize,
-    /// First retry backoff; doubles per attempt.
-    pub base_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-    /// Accept/idle poll granularity and supervisor health interval.
-    pub poll_tick: Duration,
-    /// How long a (re)spawned shard may take to answer health.
-    pub ready_timeout: Duration,
 }
 
 impl RouterConfig {
-    /// Config with defaults tuned for small local fleets.
+    /// A router on `socket` over one shard per spec.
     pub fn new(
         socket: impl Into<PathBuf>,
         launcher: ShardLauncher,
@@ -55,11 +60,6 @@ impl RouterConfig {
             socket: socket.into(),
             launcher,
             shards,
-            max_attempts: 12,
-            base_backoff: Duration::from_millis(2),
-            max_backoff: Duration::from_millis(200),
-            poll_tick: Duration::from_millis(50),
-            ready_timeout: Duration::from_secs(10),
         }
     }
 }
@@ -202,13 +202,13 @@ fn forward_with_retry(
 ) -> Frame {
     let n = state.sockets.len();
     let primary = (hash % n as u64) as usize;
-    let mut backoff = state.cfg.base_backoff;
-    for attempt in 0..state.cfg.max_attempts {
+    let mut backoff = BASE_BACKOFF;
+    for attempt in 0..MAX_ATTEMPTS {
         let slot = (primary + attempt) % n;
         if attempt > 0 {
             state.retries.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(backoff);
-            backoff = (backoff * 2).min(state.cfg.max_backoff);
+            backoff = (backoff * 2).min(MAX_BACKOFF);
         }
         match try_forward(state, conns, slot, frame) {
             Ok(resp @ Frame::MultiplyOk { .. }) => {
@@ -220,7 +220,7 @@ fn forward_with_retry(
             }
             // Backpressure and drains are transient: try a sibling.
             Ok(Frame::Error { code, .. }) if code.retryable() => continue,
-            // Deterministic failures (shape, dtype, plan) pass through
+            // Deterministic failures (shape, plan, malformed) pass through
             // unchanged — no sibling would answer differently.
             Ok(resp @ Frame::Error { .. }) => return resp,
             Ok(_) => {
@@ -236,17 +236,14 @@ fn forward_with_retry(
     Frame::Error {
         id,
         code: ErrorCode::Unavailable,
-        message: format!(
-            "no shard answered within {} attempts",
-            state.cfg.max_attempts
-        ),
+        message: format!("no shard answered within {MAX_ATTEMPTS} attempts"),
     }
 }
 
 /// Serve one client connection until it closes (or the router drains).
 fn handle_client(state: &Arc<RouterState>, stream: UnixStream) {
     fmm_trace::set_thread_label("router-client");
-    let _ = stream.set_read_timeout(Some(state.cfg.poll_tick));
+    let _ = stream.set_read_timeout(Some(POLL_TICK));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
     let mut stream = stream;
     let mut conns: Vec<Option<UnixStream>> = (0..state.sockets.len()).map(|_| None).collect();
@@ -285,14 +282,11 @@ fn handle_client(state: &Arc<RouterState>, stream: UnixStream) {
                 match &resp {
                     Frame::MultiplyOk { .. } => {
                         state.completions.fetch_add(1, Ordering::Relaxed);
-                        let label = format!(
-                            "{}/{}",
+                        state.hists.record(
                             fmm_core::shape_class(m as usize, k as usize, n as usize),
-                            dtype.name()
+                            dtype.name(),
+                            fmm_trace::now_ns().saturating_sub(t_fwd),
                         );
-                        state
-                            .hists
-                            .record(&label, fmm_trace::now_ns().saturating_sub(t_fwd));
                         if fmm_trace::enabled() {
                             fmm_trace::span_end(
                                 fmm_trace::SpanKind::RouterForward,
@@ -376,13 +370,13 @@ fn supervise(state: &Arc<RouterState>) {
             // Move this incarnation's successes into the "earlier
             // incarnations" bucket before a new process can serve.
             state.slots[i].ok_since_spawn.store(0, Ordering::Relaxed);
-            if fleet.respawn(i, state.cfg.ready_timeout).is_ok() {
+            if fleet.respawn(i, READY_TIMEOUT).is_ok() {
                 state.slots[i].respawns.fetch_add(1, Ordering::Relaxed);
                 state.respawns.fetch_add(1, Ordering::Relaxed);
                 state.slots[i].healthy.store(true, Ordering::Relaxed);
             }
         }
-        std::thread::sleep(state.cfg.poll_tick);
+        std::thread::sleep(POLL_TICK);
     }
 }
 
@@ -446,7 +440,7 @@ pub fn start_router(cfg: RouterConfig) -> io::Result<RunningRouter> {
     assert!(!cfg.shards.is_empty(), "a router needs at least one shard");
     let specs = cfg.shards.clone();
     let sockets: Vec<PathBuf> = specs.iter().map(|s| s.socket.clone()).collect();
-    let fleet = Fleet::spawn(cfg.launcher.clone(), specs, cfg.ready_timeout)?;
+    let fleet = Fleet::spawn(cfg.launcher.clone(), specs, READY_TIMEOUT)?;
 
     let _ = std::fs::remove_file(&cfg.socket);
     if let Some(parent) = cfg.socket.parent() {
@@ -485,7 +479,6 @@ pub fn start_router(cfg: RouterConfig) -> io::Result<RunningRouter> {
 
     let accept_state = Arc::clone(&state);
     let accept = std::thread::spawn(move || {
-        let tick = accept_state.cfg.poll_tick;
         while !accept_state.shutdown.load(Ordering::Relaxed) {
             match listener.accept() {
                 Ok((stream, _)) => {
@@ -497,9 +490,9 @@ pub fn start_router(cfg: RouterConfig) -> io::Result<RunningRouter> {
                     std::thread::spawn(move || handle_client(&client_state, stream));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(tick);
+                    std::thread::sleep(POLL_TICK);
                 }
-                Err(_) => std::thread::sleep(tick),
+                Err(_) => std::thread::sleep(POLL_TICK),
             }
         }
     });
@@ -519,7 +512,7 @@ pub fn start_router(cfg: RouterConfig) -> io::Result<RunningRouter> {
 pub fn router_main(cfg: RouterConfig) -> io::Result<()> {
     let running = start_router(cfg)?;
     while !running.state.shutdown.load(Ordering::Relaxed) {
-        std::thread::sleep(running.state.cfg.poll_tick);
+        std::thread::sleep(POLL_TICK);
     }
     running.shutdown();
     Ok(())

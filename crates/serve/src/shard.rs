@@ -29,6 +29,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Connections beyond this are rejected with `Busy` and closed.
+const MAX_CONNECTIONS: u64 = 64;
+
+/// Poll tick for the accept loop and idle-connection reads; also the
+/// granularity at which a drain is noticed.
+const POLL_TICK: Duration = Duration::from_millis(50);
+
 /// Shard process configuration.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
@@ -40,23 +47,15 @@ pub struct ShardConfig {
     /// Admission bound: multiplies inflight beyond this are rejected
     /// with `Busy`.
     pub max_inflight: usize,
-    /// Connections beyond this are rejected with `Busy` and closed.
-    pub max_connections: usize,
-    /// Poll tick for the accept loop and idle-connection reads; also
-    /// the granularity at which a drain is noticed.
-    pub poll_tick: Duration,
 }
 
 impl ShardConfig {
-    /// A shard on `socket` with defaults: width-1 engines, 8 inflight,
-    /// 64 connections, 50 ms poll tick.
+    /// A shard on `socket` with defaults: width-1 engines, 8 inflight.
     pub fn new(socket: impl Into<PathBuf>) -> Self {
         ShardConfig {
             socket: socket.into(),
             threads: 1,
             max_inflight: 8,
-            max_connections: 64,
-            poll_tick: Duration::from_millis(50),
         }
     }
 
@@ -150,13 +149,6 @@ impl ShardState {
         let resp = match dtype {
             WireDtype::F64 => run_engine(&self.engine_f64, id, *m, *k, *n, a, b),
             WireDtype::F32 => run_engine(&self.engine_f32, id, *m, *k, *n, a, b),
-            // Unreachable today — frame decoding rejects the reserved
-            // gf2 tag — but kept typed so a future transport can't
-            // silently fall through to a float engine.
-            WireDtype::Gf2 => {
-                self.inflight.fetch_sub(1, Ordering::AcqRel);
-                return error(id, ErrorCode::BadDtype, "gf2 transport not yet supported");
-            }
         };
         self.inflight.fetch_sub(1, Ordering::AcqRel);
         if matches!(resp, Frame::MultiplyOk { .. }) {
@@ -288,8 +280,7 @@ impl ShardServer {
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     let conns = state.connections.fetch_add(1, Ordering::AcqRel) + 1;
-                    let over = conns > state.cfg.max_connections as u64
-                        || state.draining.load(Ordering::Relaxed);
+                    let over = conns > MAX_CONNECTIONS || state.draining.load(Ordering::Relaxed);
                     let state = Arc::clone(&state);
                     std::thread::spawn(move || {
                         if over {
@@ -312,7 +303,7 @@ impl ShardServer {
                     {
                         break;
                     }
-                    std::thread::sleep(state.cfg.poll_tick);
+                    std::thread::sleep(POLL_TICK);
                 }
                 Err(e) => return Err(e),
             }
@@ -355,10 +346,10 @@ impl RunningShard {
 /// One connection's request loop.
 fn handle_connection(state: &Arc<ShardState>, mut stream: UnixStream) {
     fmm_trace::set_thread_label("shard-conn");
-    // Reads poll at the config tick so an idle connection notices a
+    // Reads poll at the shard's tick so an idle connection notices a
     // drain promptly; writes get a generous bound so a stalled client
     // cannot wedge the handler forever.
-    let _ = stream.set_read_timeout(Some(state.cfg.poll_tick));
+    let _ = stream.set_read_timeout(Some(POLL_TICK));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
     loop {
         let frame = match read_frame(&mut stream) {

@@ -11,8 +11,9 @@
 //!
 //! The body depends on the kind (see [`Frame`]); matrix operands
 //! travel as row-major scalar runs in their IEEE-754 little-endian
-//! byte form, tagged with a [`WireDtype`]. Decoding is total: any
-//! malformed input — truncated frame, oversized length prefix, unknown
+//! byte form, tagged with a [`WireDtype`] (0 for f64, 1 for f32; no
+//! other tag is valid). Decoding is total: any malformed input —
+//! truncated frame, oversized length prefix, unknown
 //! version/kind/dtype, body length that disagrees with the declared
 //! shape — yields a typed [`WireError`], never a panic and (because
 //! every read goes through a socket timeout) never a hang.
@@ -55,11 +56,6 @@ pub enum WireDtype {
     F64,
     /// IEEE-754 binary32.
     F32,
-    /// Bit-packed GF(2) (`fmm-gf2`). The tag is reserved so routers,
-    /// shards and clients agree on it; matrix *transport* for the
-    /// packed representation is follow-up work, so any frame declaring
-    /// this dtype decodes to a typed [`WireError::UnsupportedDtype`].
-    Gf2,
 }
 
 impl WireDtype {
@@ -68,7 +64,6 @@ impl WireDtype {
         match self {
             WireDtype::F64 => 0,
             WireDtype::F32 => 1,
-            WireDtype::Gf2 => 2,
         }
     }
 
@@ -77,19 +72,15 @@ impl WireDtype {
         match tag {
             0 => Ok(WireDtype::F64),
             1 => Ok(WireDtype::F32),
-            2 => Ok(WireDtype::Gf2),
             other => Err(WireError::BadDtype(other)),
         }
     }
 
-    /// Bytes per scalar element, or `None` for dtypes whose matrix
-    /// encoding is not element-per-fixed-width (bit-packed GF(2) has no
-    /// per-element byte count; its transport is not wired up yet).
-    pub fn element_size(self) -> Option<usize> {
+    /// Bytes per scalar element.
+    pub fn element_size(self) -> usize {
         match self {
-            WireDtype::F64 => Some(8),
-            WireDtype::F32 => Some(4),
-            WireDtype::Gf2 => None,
+            WireDtype::F64 => 8,
+            WireDtype::F32 => 4,
         }
     }
 
@@ -99,7 +90,6 @@ impl WireDtype {
         match self {
             WireDtype::F64 => "f64",
             WireDtype::F32 => "f32",
-            WireDtype::Gf2 => "gf2",
         }
     }
 }
@@ -147,8 +137,6 @@ pub enum ErrorCode {
     Shape,
     /// Planning failed for this shape/configuration.
     Plan,
-    /// The request named a dtype this shard does not host.
-    BadDtype,
     /// The request frame could not be decoded.
     Malformed,
     /// The serving process hit an internal error.
@@ -166,7 +154,6 @@ impl ErrorCode {
             ErrorCode::Busy => 1,
             ErrorCode::Shape => 2,
             ErrorCode::Plan => 3,
-            ErrorCode::BadDtype => 4,
             ErrorCode::Malformed => 5,
             ErrorCode::Internal => 6,
             ErrorCode::Draining => 7,
@@ -180,7 +167,6 @@ impl ErrorCode {
             1 => ErrorCode::Busy,
             2 => ErrorCode::Shape,
             3 => ErrorCode::Plan,
-            4 => ErrorCode::BadDtype,
             5 => ErrorCode::Malformed,
             6 => ErrorCode::Internal,
             7 => ErrorCode::Draining,
@@ -191,7 +177,7 @@ impl ErrorCode {
 
     /// Should a router try this request again on a sibling shard?
     /// Load/lifecycle conditions are retryable; deterministic request
-    /// errors (shape, plan, dtype, malformed) would fail anywhere.
+    /// errors (shape, plan, malformed) would fail anywhere.
     pub fn retryable(self) -> bool {
         matches!(
             self,
@@ -206,7 +192,6 @@ impl std::fmt::Display for ErrorCode {
             ErrorCode::Busy => "busy",
             ErrorCode::Shape => "shape",
             ErrorCode::Plan => "plan",
-            ErrorCode::BadDtype => "bad-dtype",
             ErrorCode::Malformed => "malformed",
             ErrorCode::Internal => "internal",
             ErrorCode::Draining => "draining",
@@ -229,10 +214,6 @@ pub enum WireError {
     BadKind(u8),
     /// Unknown dtype tag.
     BadDtype(u8),
-    /// A known, reserved dtype that this build cannot yet transport
-    /// (e.g. bit-packed GF(2)). Distinct from [`WireError::BadDtype`]:
-    /// the tag is valid protocol, the capability is missing.
-    UnsupportedDtype(WireDtype),
     /// Unknown error-code tag.
     BadErrorCode(u8),
     /// The body length disagrees with the declared shape/lengths.
@@ -263,11 +244,6 @@ impl std::fmt::Display for WireError {
             WireError::BadVersion(v) => write!(f, "unknown wire version {v}"),
             WireError::BadKind(k) => write!(f, "unknown frame kind {k}"),
             WireError::BadDtype(d) => write!(f, "unknown dtype tag {d}"),
-            WireError::UnsupportedDtype(d) => write!(
-                f,
-                "dtype {} is reserved but not yet transportable on the wire",
-                d.name()
-            ),
             WireError::BadErrorCode(c) => write!(f, "unknown error code {c}"),
             WireError::BadLength { expected, got } => {
                 write!(f, "body length {got} disagrees with declared {expected}")
@@ -548,14 +524,14 @@ impl Frame {
 /// product of `dtype` (both operands behind their header) and of its
 /// response (the product behind its header). A product can be served
 /// only when both are at most [`MAX_FRAME`]. `None` when a length does
-/// not fit in `usize` or `dtype` has no wire element size.
+/// not fit in `usize`.
 pub fn multiply_payload_lens(
     m: usize,
     k: usize,
     n: usize,
     dtype: WireDtype,
 ) -> Option<(usize, usize)> {
-    let elem = dtype.element_size()?;
+    let elem = dtype.element_size();
     let bytes = |rows: usize, cols: usize| rows.checked_mul(cols)?.checked_mul(elem);
     let request = bytes(m, k)?
         .checked_add(bytes(k, n)?)?
@@ -567,9 +543,7 @@ pub fn multiply_payload_lens(
 /// Byte count of an `rows × cols` matrix of `dtype`, rejecting
 /// products that overflow or exceed the frame cap.
 fn checked_bytes(rows: u32, cols: u32, dtype: WireDtype) -> Result<usize, WireError> {
-    let elem = dtype
-        .element_size()
-        .ok_or(WireError::UnsupportedDtype(dtype))?;
+    let elem = dtype.element_size();
     let elems = (rows as u64)
         .checked_mul(cols as u64)
         .ok_or(WireError::ShapeOverflow)?;
@@ -853,24 +827,9 @@ mod tests {
             Frame::decode(&long),
             Err(WireError::BadLength { .. })
         ));
-    }
-
-    #[test]
-    fn gf2_dtype_tag_is_reserved_not_transportable() {
-        // The tag parses — it is valid protocol both ways.
-        assert!(matches!(WireDtype::from_tag(2), Ok(WireDtype::Gf2)));
-        assert_eq!(WireDtype::Gf2.tag(), 2);
-        assert_eq!(WireDtype::Gf2.name(), "gf2");
-        assert_eq!(WireDtype::Gf2.element_size(), None);
-        // The tag after the reserved one is still unknown protocol.
-        assert!(matches!(
-            WireDtype::from_tag(3),
-            Err(WireError::BadDtype(3))
-        ));
-        // A MultiplyReq declaring gf2 decodes to a *typed* unsupported
-        // error (decoding stays total — no panic, no bogus frame). The
-        // dtype byte sits right after the 10-byte header.
-        let mut payload = Frame::MultiplyReq {
+        // Only tags 0 (f64) and 1 (f32) are dtypes, and 1..=3 and 5..=8
+        // error codes. The tag byte sits right after the 10-byte header.
+        let request = Frame::MultiplyReq {
             id: 5,
             dtype: WireDtype::F64,
             m: 2,
@@ -880,20 +839,26 @@ mod tests {
             b: vec![0; 32],
         }
         .encode();
-        payload[HEADER] = WireDtype::Gf2.tag();
+        for tag in [2, 3] {
+            assert!(matches!(WireDtype::from_tag(tag), Err(WireError::BadDtype(t)) if t == tag));
+            let mut payload = request.clone();
+            payload[HEADER] = tag;
+            assert!(matches!(
+                Frame::decode(&payload),
+                Err(WireError::BadDtype(t)) if t == tag
+            ));
+        }
+        let mut payload = Frame::Error {
+            id: 5,
+            code: ErrorCode::Plan,
+            message: "no plan".into(),
+        }
+        .encode();
+        payload[HEADER] = 4;
         assert!(matches!(
             Frame::decode(&payload),
-            Err(WireError::UnsupportedDtype(WireDtype::Gf2))
+            Err(WireError::BadErrorCode(4))
         ));
-        let msg = WireError::UnsupportedDtype(WireDtype::Gf2).to_string();
-        assert!(msg.contains("gf2"), "{msg}");
-    }
-
-    #[test]
-    fn shape_hash_distinguishes_gf2() {
-        let f = shape_hash(64, 64, 64, WireDtype::F64);
-        let g = shape_hash(64, 64, 64, WireDtype::Gf2);
-        assert_ne!(f, g, "dtype must enter shard placement");
     }
 
     #[test]
@@ -925,10 +890,9 @@ mod tests {
             multiply_payload_lens(3, 4, 5, WireDtype::F32),
             Some(encoded)
         );
-        // Lengths past usize and dtypes without a wire size have none.
+        // Lengths past usize have none.
         let overflow = multiply_payload_lens(usize::MAX, 2, 1, WireDtype::F64);
         assert_eq!(overflow, None);
-        assert_eq!(multiply_payload_lens(1, 1, 1, WireDtype::Gf2), None);
     }
 
     #[test]

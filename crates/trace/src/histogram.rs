@@ -376,10 +376,13 @@ pub fn merged_total(rows: &[HistogramRow]) -> Histogram {
 /// Thread-safe collection of labeled histograms for live recording
 /// (engine request latencies, router forward latencies). A single
 /// uncontended mutex: recording sites are millisecond-scale request
-/// paths, not per-leaf hot loops.
+/// paths, not per-leaf hot loops. Rows are keyed by the two static
+/// halves of their label, so a warm [`HistogramSet::record`] makes no
+/// heap allocation; the `"<class>/<dtype>"` label is formatted only by
+/// [`HistogramSet::snapshot`].
 #[derive(Debug, Default)]
 pub struct HistogramSet {
-    rows: Mutex<Vec<(String, Histogram)>>,
+    rows: Mutex<Vec<((&'static str, &'static str), Histogram)>>,
 }
 
 impl HistogramSet {
@@ -388,15 +391,17 @@ impl HistogramSet {
         Self::default()
     }
 
-    /// Record `value` under `label`, creating the row on first use.
-    pub fn record(&self, label: &str, value: u64) {
+    /// Record `value` under the label `"<class>/<dtype>"`, creating the
+    /// row on first use.
+    pub fn record(&self, class: &'static str, dtype: &'static str, value: u64) {
+        let key = (class, dtype);
         let mut rows = self.rows.lock().unwrap_or_else(|e| e.into_inner());
-        match rows.iter_mut().find(|(l, _)| l == label) {
+        match rows.iter_mut().find(|(k, _)| *k == key) {
             Some((_, h)) => h.record(value),
             None => {
                 let mut h = Histogram::new();
                 h.record(value);
-                rows.push((label.to_string(), h));
+                rows.push((key, h));
             }
         }
     }
@@ -406,8 +411,8 @@ impl HistogramSet {
         let rows = self.rows.lock().unwrap_or_else(|e| e.into_inner());
         let mut out: Vec<HistogramRow> = rows
             .iter()
-            .map(|(label, hist)| HistogramRow {
-                label: label.clone(),
+            .map(|((class, dtype), hist)| HistogramRow {
+                label: format!("{class}/{dtype}"),
                 hist: hist.clone(),
             })
             .collect();
@@ -502,9 +507,9 @@ mod tests {
     #[test]
     fn rows_merge_by_label() {
         let set = HistogramSet::new();
-        set.record("b/f64", 10);
-        set.record("a/f64", 20);
-        set.record("a/f64", 30);
+        set.record("b", "f64", 10);
+        set.record("a", "f64", 20);
+        set.record("a", "f64", 30);
         let snap = set.snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].label, "a/f64");

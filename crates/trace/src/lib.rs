@@ -15,9 +15,9 @@
 //! 2. **Export** — [`TraceSink::collect`] snapshots every ring;
 //!    [`TraceSink::export_chrome_json`] renders Chrome trace-event
 //!    JSON loadable in Perfetto / `chrome://tracing`, and
-//!    [`TraceSink::timeline`] renders a per-worker text timeline with
-//!    utilization and the gemm-vs-addition time share (a software
-//!    re-instrumentation of the paper's Fig. 4 schedule comparison).
+//!    [`TraceSink::work_share`] reports the gemm-vs-addition time share
+//!    (a software re-instrumentation of the paper's Fig. 4 schedule
+//!    comparison).
 //! 3. **Histograms** ([`Histogram`], [`HistogramSet`]) — mergeable
 //!    log-bucketed latency histograms with the workspace's single
 //!    percentile rule.
@@ -296,7 +296,7 @@ fn claim_track() -> usize {
     })
 }
 
-/// Name this thread's track in exported timelines (e.g.
+/// Name this thread's track in exported Chrome traces (e.g.
 /// `fmm-worker-3`, `router`). Claims the track if needed.
 pub fn set_thread_label(label: &str) {
     let idx = claim_track();

@@ -1,4 +1,4 @@
-//! Trace export: Chrome trace-event JSON and text timelines.
+//! Trace export: Chrome trace-event JSON and the per-kind time share.
 
 use crate::{process_label, snapshot_tracks, Record, SpanKind};
 
@@ -168,153 +168,6 @@ impl TraceSink {
         }
         Ok(format!("[\n{}\n]\n", bodies.join(",\n")))
     }
-
-    /// Render a per-track text timeline. Each track is a `width`-cell
-    /// bar over the sink's full time range; a cell shows the kind that
-    /// dominated it (`G` base gemm, `g` peel gemm, `a` additions, `c`
-    /// combine, `p` plan, `w` workspace, `R` request, `d`/`x`/`e` RPC
-    /// decode/execute/encode, `f` router forward, `_` parked, `.`
-    /// idle). The footer reports per-track utilization (busy time /
-    /// wall, parked excluded) and the overall gemm-vs-addition work
-    /// share.
-    pub fn timeline(&self, width: usize) -> String {
-        let width = width.max(8);
-        let spans: Vec<(&TrackSnapshot, &Record)> = self
-            .tracks
-            .iter()
-            .flat_map(|t| t.records.iter().map(move |r| (t, r)))
-            .collect();
-        let Some(t0) = spans.iter().map(|(_, r)| r.t_start).min() else {
-            return "timeline: no records\n".to_string();
-        };
-        let t1 = spans
-            .iter()
-            .map(|(_, r)| r.t_end)
-            .max()
-            .unwrap()
-            .max(t0 + 1);
-        let cell_ns = ((t1 - t0) as f64 / width as f64).max(1.0);
-        let mut out = String::new();
-        out.push_str(&format!(
-            "timeline: {} tracks over {:.3} ms ({} = 1 cell ≈ {:.1} µs)\n",
-            self.tracks.len(),
-            (t1 - t0) as f64 / 1e6,
-            width,
-            cell_ns / 1e3,
-        ));
-        let label_w = self
-            .tracks
-            .iter()
-            .map(|t| t.label.len())
-            .max()
-            .unwrap_or(0)
-            .min(24);
-        for track in &self.tracks {
-            // Dominant kind per cell by overlapped nanoseconds;
-            // shorter (inner) spans win ties so leaves show through
-            // enclosing request spans.
-            let mut cells: Vec<[u64; SpanKind::ALL.len()]> = vec![[0; SpanKind::ALL.len()]; width];
-            for r in &track.records {
-                if r.t_end == r.t_start {
-                    continue;
-                }
-                let c0 = ((r.t_start - t0) as f64 / cell_ns) as usize;
-                let c1 = (((r.t_end - t0) as f64 / cell_ns) as usize).min(width - 1);
-                for (c, cell) in cells.iter_mut().enumerate().take(c1 + 1).skip(c0) {
-                    let lo = t0 as f64 + c as f64 * cell_ns;
-                    let hi = lo + cell_ns;
-                    let overlap = (r.t_end as f64).min(hi) - (r.t_start as f64).max(lo);
-                    if overlap > 0.0 {
-                        cell[r.kind as usize] += overlap as u64 + 1;
-                    }
-                }
-            }
-            let bar: String = cells
-                .iter()
-                .map(|cell| {
-                    // Prefer leaf work kinds over enclosing spans.
-                    let pick = |kinds: &[SpanKind]| {
-                        kinds
-                            .iter()
-                            .copied()
-                            .filter(|&k| cell[k as usize] > 0)
-                            .max_by_key(|&k| cell[k as usize])
-                    };
-                    let leaf = pick(&[
-                        SpanKind::BaseGemm,
-                        SpanKind::PeelGemm,
-                        SpanKind::Additions,
-                        SpanKind::Combine,
-                    ]);
-                    let kind = leaf.or_else(|| pick(&SpanKind::ALL));
-                    match kind {
-                        Some(SpanKind::BaseGemm) => 'G',
-                        Some(SpanKind::PeelGemm) => 'g',
-                        Some(SpanKind::Additions) => 'a',
-                        Some(SpanKind::Combine) => 'c',
-                        Some(SpanKind::PlanLookup) => 'p',
-                        Some(SpanKind::WorkspaceCheckout) => 'w',
-                        Some(SpanKind::Request) => 'R',
-                        Some(SpanKind::RpcDecode) => 'd',
-                        Some(SpanKind::RpcExecute) => 'x',
-                        Some(SpanKind::RpcEncode) => 'e',
-                        Some(SpanKind::RouterForward) => 'f',
-                        Some(SpanKind::Park) => '_',
-                        Some(SpanKind::Steal) => 's',
-                        None => '.',
-                    }
-                })
-                .collect();
-            let busy = busy_ns(&track.records);
-            out.push_str(&format!(
-                "  {:label_w$} |{bar}| {:5.1}% busy, {} spans{}\n",
-                &track.label[..track.label.len().min(24)],
-                100.0 * busy as f64 / (t1 - t0) as f64,
-                track.records.len(),
-                if track.dropped > 0 {
-                    format!(" ({} dropped)", track.dropped)
-                } else {
-                    String::new()
-                },
-            ));
-        }
-        let shares = self.work_share();
-        if !shares.is_empty() {
-            let line = shares
-                .iter()
-                .map(|(k, pct)| format!("{} {pct:.1}%", k.name()))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&format!("  work share: {line}\n"));
-        }
-        out
-    }
-}
-
-/// Union length of non-park, non-instant span intervals.
-fn busy_ns(records: &[Record]) -> u64 {
-    let mut ivals: Vec<(u64, u64)> = records
-        .iter()
-        .filter(|r| r.kind != SpanKind::Park && r.t_end > r.t_start)
-        .map(|r| (r.t_start, r.t_end))
-        .collect();
-    ivals.sort_unstable();
-    let mut busy = 0;
-    let mut cur: Option<(u64, u64)> = None;
-    for (s, e) in ivals {
-        match cur {
-            Some((cs, ce)) if s <= ce => cur = Some((cs, ce.max(e))),
-            Some((cs, ce)) => {
-                busy += ce - cs;
-                cur = Some((s, e));
-            }
-            None => cur = Some((s, e)),
-        }
-    }
-    if let Some((cs, ce)) = cur {
-        busy += ce - cs;
-    }
-    busy
 }
 
 #[cfg(test)]
@@ -373,46 +226,27 @@ mod tests {
     }
 
     #[test]
-    fn timeline_reports_utilization_and_work_share() {
-        // 0..100µs wall: gemm 0..60µs, additions 60..80µs, idle after.
+    fn work_share_counts_leaf_work_only() {
+        // Gemm 0..60µs and additions 60..80µs: gemm is 75% of leaf work.
         let sink = sink_with(vec![
             rec(SpanKind::BaseGemm, 0, 60_000),
             rec(SpanKind::Additions, 60_000, 80_000),
         ]);
-        let text = sink.timeline(10);
-        assert!(text.contains("t0"), "{text}");
-        assert!(text.contains("G"), "{text}");
-        assert!(text.contains("work share"), "{text}");
-        let shares = sink.work_share();
-        let gemm = shares
-            .iter()
-            .find(|(k, _)| *k == SpanKind::BaseGemm)
-            .unwrap()
-            .1;
+        let gemm_share = |sink: &TraceSink| {
+            sink.work_share()
+                .iter()
+                .find(|(k, _)| *k == SpanKind::BaseGemm)
+                .unwrap()
+                .1
+        };
+        let gemm = gemm_share(&sink);
         assert!((gemm - 75.0).abs() < 1.0, "gemm share {gemm}");
         // Nested request spans don't inflate the work share.
         let mut nested = sink.clone();
         nested.tracks[0]
             .records
             .push(rec(SpanKind::Request, 0, 80_000));
-        let gemm2 = nested
-            .work_share()
-            .iter()
-            .find(|(k, _)| *k == SpanKind::BaseGemm)
-            .unwrap()
-            .1;
-        assert!((gemm2 - 75.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn busy_union_merges_overlaps_and_skips_park() {
-        let busy = busy_ns(&[
-            rec(SpanKind::BaseGemm, 0, 100),
-            rec(SpanKind::Request, 50, 150),
-            rec(SpanKind::Park, 200, 1000),
-            rec(SpanKind::Combine, 300, 350),
-        ]);
-        assert_eq!(busy, 200);
+        assert!((gemm_share(&nested) - 75.0).abs() < 1.0);
     }
 
     #[test]
@@ -422,7 +256,7 @@ mod tests {
             pid: 0,
             tracks: Vec::new(),
         };
-        assert_eq!(sink.timeline(40), "timeline: no records\n");
+        assert!(sink.work_share().is_empty());
         let json = sink.export_chrome_json();
         assert!(json.contains("process_name"));
     }

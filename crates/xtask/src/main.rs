@@ -7,16 +7,17 @@
 //!   * every `unsafe` block or impl carries a `// SAFETY:` comment on
 //!     the same line or within the five preceding lines;
 //!   * `unsafe` code only appears in the audited allowlist (the
-//!     work-stealing deque/job/registry and the strided matrix views) —
-//!     new unsafe anywhere else fails the build until it is reviewed
-//!     and allowlisted here;
+//!     work-stealing deque/job/registry, the strided matrix views, the
+//!     AVX-512 gemm tile and the two allocation tests' counting
+//!     allocators) — new unsafe anywhere else fails the build until it
+//!     is reviewed and allowlisted here;
 //!   * every shipped `.alg` coefficient file is internally consistent:
 //!     header dims match the filename, exact files pass exact ℚ
 //!     certification, APA files declare a residual that matches the
 //!     recomputed Brent residual;
 //!   * the vendored `rayon` facade re-exports exactly the pinned API
-//!     surface (so the documented "swap in real rayon" path cannot
-//!     silently drift).
+//!     surface (so its rayon-1.x-compatible surface cannot silently
+//!     drift).
 //! * `certify` — run exact ℚ certification over every exact scheme the
 //!   catalog can produce, the APA acceptance checks, and the ℚ\[ε\]
 //!   border-rank certification of the Schönhage τ construction.
@@ -92,6 +93,7 @@ const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/matrix/src/view.rs",
     "crates/gemm/src/avx512.rs",
     "crates/gemm/tests/no_alloc.rs",
+    "crates/core/tests/no_alloc.rs",
 ];
 
 /// The only `crates/gemm` files allowed in [`UNSAFE_ALLOWLIST`]: the
@@ -103,13 +105,12 @@ const GEMM_KW_FILES: &[&str] = &["crates/gemm/src/avx512.rs", "crates/gemm/tests
 /// Items the vendored `rayon` facade must re-export from
 /// `fmm_runtime` — the exact rayon-1.x-compatible surface the
 /// workspace is written against. Changing this surface is a deliberate
-/// act: update the facade, this pin, and the swap-compatibility note
-/// in `vendor/rayon/src/lib.rs` together.
+/// act: update the facade, this pin, and the real-rayon swap note in
+/// `vendor/rayon/src/lib.rs` together.
 const RAYON_FACADE_EXPORTS: &[&str] = &[
     "current_num_threads",
     "join",
     "scope",
-    "spawn",
     "Scope",
     "ThreadPool",
     "ThreadPoolBuildError",
@@ -598,9 +599,6 @@ fn lint_rayon_facade(root: &Path, failures: &mut Vec<String>) {
             "vendor/rayon facade drift: re-exports {exported:?} but the pinned \
              rayon-compatible surface is {expected:?}"
         ));
-    }
-    if !text.contains("pub mod prelude;") {
-        failures.push("vendor/rayon/src/lib.rs: missing `pub mod prelude;`".to_string());
     }
 }
 

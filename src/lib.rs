@@ -104,8 +104,7 @@
 //! `serve::FleetStats`), and `trace::set_enabled(true)` turns on span
 //! recording — plan lookups, workspace checkouts, additions, base-case
 //! gemms, steals/parks, RPC phases — exportable as Chrome/Perfetto
-//! trace JSON or a textual per-worker timeline. See the README's
-//! "Observability" section.
+//! trace JSON. See the README's "Observability" section.
 //!
 //! The high-level types are re-exported at the root — `use
 //! fast_matmul::{FmmEngine, Planner, Plan, Workspace, Options}` — so
